@@ -439,6 +439,7 @@ def _run_cache(args: argparse.Namespace) -> int:
         "entries": float(stats["entries"]),
         "file_lines": float(stats["file_lines"]),
         "stale_lines": float(stats["stale_lines"]),
+        "corrupt_lines": float(stats["corrupt_lines"]),
         "file_bytes": float(stats["file_bytes"]),
     }
     print(reporting.format_mapping(values, f"Solve cache at {stats['path']}"))

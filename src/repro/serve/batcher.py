@@ -29,6 +29,7 @@ preserving the engine's single-caller discipline.
 from __future__ import annotations
 
 import asyncio
+import time
 from collections import deque
 from collections.abc import Awaitable, Callable, Sequence
 
@@ -85,7 +86,7 @@ class MicroBatcher:
         self.batch_delay_s = batch_delay_s
         self.max_queue = max_queue
 
-        self._items: deque[object] = deque()
+        self._items: deque[tuple[float, object]] = deque()  # (arrival, item)
         self._wakeup = asyncio.Event()
         self._closed = False
         self._task: asyncio.Task | None = None
@@ -113,7 +114,7 @@ class MicroBatcher:
         if len(self._items) >= self.max_queue:
             self.shed += 1
             raise QueueFullError(f"queue is full ({self.max_queue} waiting items)")
-        self._items.append(item)
+        self._items.append((time.monotonic(), item))
         self._wakeup.set()
 
     @property
@@ -136,13 +137,13 @@ class MicroBatcher:
                 return None
             self._wakeup.clear()
             await self._wakeup.wait()
-        # First item of the forming batch is here; hold the batch open
-        # until it fills or its deadline passes.  Closing sets the wakeup
-        # event, cutting the wait short so drain finishes promptly.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.batch_delay_s
+        # Hold the batch open until it fills or its oldest item has waited
+        # batch_delay_s — counted from that item's arrival, so items that
+        # queued during the previous dispatch are not held a second window.
+        # Closing sets the wakeup event, cutting the wait short so drain
+        # finishes promptly.
         while len(self._items) < self.batch_size and not self._closed:
-            remaining = deadline - loop.time()
+            remaining = self._items[0][0] + self.batch_delay_s - time.monotonic()
             if remaining <= 0:
                 break
             self._wakeup.clear()
@@ -150,8 +151,10 @@ class MicroBatcher:
                 await asyncio.wait_for(self._wakeup.wait(), remaining)
             except asyncio.TimeoutError:
                 break
+        if not self._items:  # closed without drain while the window was open
+            return None
         take = min(self.batch_size, len(self._items))
-        return [self._items.popleft() for _ in range(take)]
+        return [self._items.popleft()[1] for _ in range(take)]
 
     async def _run(self) -> None:
         while True:

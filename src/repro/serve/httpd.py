@@ -14,7 +14,9 @@ Endpoints
 ``GET /stats``
     Full service statistics: queue depth, singleflight/LRU counters,
     engine cache/telemetry summary, batch sizes, per-stage latency
-    percentiles.
+    percentiles.  Computed on the service's auxiliary executor, not on
+    the loop (its first look at the disk cache reads the cache file);
+    503 once shutdown has released that executor.
 
 The server is a non-blocking :func:`asyncio.start_server` listener
 riding the :class:`~repro.serve.service.QueryService` reactor loop —
@@ -101,7 +103,12 @@ async def _route(
             health = service.health()
             return (200 if health["status"] == "ok" else 503), health, {}
         if path == "/stats":
-            return 200, service.stats(), {}
+            # Off the loop: the first look at the engine's disk cache reads
+            # the whole cache file.
+            try:
+                return 200, await service.core.offload(service.stats), {}
+            except ServiceRejection as error:
+                return error.status, {"ok": False, "error": str(error)}, {}
         return 404, {"ok": False, "error": f"unknown path {path}"}, {}
     if method != "POST" or path != "/v1/query":
         return 404, {"ok": False, "error": f"unknown path {method} {path}"}, {}

@@ -50,8 +50,10 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro.core.horizon import correlation_horizon, norros_horizon
 from repro.core.results import LossRateResult
@@ -71,6 +73,8 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceRejection",
 ]
+
+_T = TypeVar("_T")
 
 
 class ServiceRejection(RuntimeError):
@@ -249,11 +253,8 @@ class AsyncQueryService:
                     self.singleflight.abandon(key)
                     raise ServiceDrainingError("service is draining") from None
             else:  # dimension: a bisection of solves, on the auxiliary executor
-                loop = asyncio.get_running_loop()
                 try:
-                    value = await loop.run_in_executor(
-                        self._aux_executor, self._dimension, request
-                    )
+                    value = await self.offload(self._dimension, request)
                 except Exception as error:  # waiters share the failure too
                     self.singleflight.fail(key, error)
                 else:
@@ -282,6 +283,19 @@ class AsyncQueryService:
             "tier": "engine" if leader else "flight",
             "key": key[:16],
         }
+
+    async def offload(self, fn: Callable[..., _T], *args: object) -> _T:
+        """Run blocking ``fn(*args)`` on the auxiliary executor, off the loop.
+
+        Raises :class:`ServiceDrainingError` once shutdown has released
+        the executors.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            future = loop.run_in_executor(self._aux_executor, fn, *args)
+        except RuntimeError:  # executor shut down
+            raise ServiceDrainingError("service is draining") from None
+        return await future
 
     @staticmethod
     def _payload(value: object) -> object:
@@ -386,8 +400,7 @@ class AsyncQueryService:
             if self._own_engine:
                 # Engine teardown joins worker processes — executor work,
                 # not loop work.
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(self._aux_executor, self.engine.close)
+                await self.offload(self.engine.close)
             self._engine_executor.shutdown(wait=False)
             self._aux_executor.shutdown(wait=False)
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -246,3 +250,220 @@ class TestCompact:
             SolveCache(tmp_path, max_entries=0)
         with pytest.raises(ValueError):
             SolveCache(tmp_path, max_bytes=0)
+
+
+def _record_line(key: str, result: LossRateResult = RESULT, **fields: object) -> str:
+    record = {
+        "key": key, "lower": result.lower, "upper": result.upper,
+        "iterations": result.iterations, "bins": result.bins,
+        "converged": result.converged, "negligible": result.negligible,
+    }
+    record.update(fields)
+    return json.dumps(record) + "\n"
+
+
+def _reference_parse(path) -> dict[str, LossRateResult]:
+    """Parse every line in full: last valid record per key (the reader's contract)."""
+    store: dict[str, LossRateResult] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            record = json.loads(line)
+            store[record["key"]] = LossRateResult(
+                lower=float(record["lower"]), upper=float(record["upper"]),
+                iterations=int(record["iterations"]), bins=int(record["bins"]),
+                converged=bool(record["converged"]), negligible=bool(record["negligible"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            continue
+    return store
+
+
+OTHER = LossRateResult(
+    lower=2.5e-7, upper=3.0000000000000004e-7, iterations=4096,
+    bins=2048, converged=False, negligible=False,
+)
+
+
+class TestIndexedOpen:
+    def test_decodes_only_the_records_a_lookup_hits(self, tmp_path, monkeypatch):
+        import repro.exec.cache as cache_module
+
+        SolveCache(tmp_path).put_many((f"k{i}", RESULT) for i in range(50))
+        decoded: list[bytes] = []
+        real = cache_module._decode_line
+
+        def counting(line: bytes):
+            decoded.append(line)
+            return real(line)
+
+        monkeypatch.setattr(cache_module, "_decode_line", counting)
+        cache = SolveCache(tmp_path)
+        assert len(cache) == 50
+        assert cache.file_stats()["entries"] == 50
+        assert decoded == []  # opening reads keys only
+        assert cache.get_many(["k3", "k7", "absent"]) == [RESULT, RESULT, None]
+        assert len(decoded) == 2
+        assert cache.get("k3") == RESULT and "k7" in cache
+        assert len(decoded) == 2  # memoised after the first hit
+
+    def test_lookups_match_a_full_parse_of_a_messy_file(self, tmp_path):
+        odd_keys = ['quote"key', "back\\slash", "unicodé", "tab\there"]
+        lines = [
+            _record_line("a"),
+            _record_line("b", OTHER),
+            "\n",
+            "   \n",
+            _record_line("a", OTHER),  # a later record supersedes
+            "not json at all\n",
+            '{"key": "torn", "lower": 0.1\n',
+            json.dumps({"upper": 0.5, "key": "reordered", "lower": 0.25, "bins": 8,
+                        "negligible": False, "converged": True, "iterations": 3},
+                       separators=(",", ":")) + "\n",
+            *(_record_line(key) for key in odd_keys),
+            _record_line("b", lower="not a float"),  # framed, but invalid
+            _record_line("only-bad", lower=-1.0),  # fails LossRateResult validation
+            "[1, 2, 3]\n",
+            _record_line("last-no-newline", OTHER).rstrip("\n"),
+        ]
+        path = tmp_path / "solve_cache.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = _reference_parse(path)
+        keys = [*expected, "torn", "only-bad", "missing"]
+        cache = SolveCache(tmp_path)
+        loaded = cache.get_many(keys)
+        assert loaded == [expected.get(key) for key in keys]
+        for got, want in zip(loaded, (expected.get(key) for key in keys)):
+            if want is not None:  # bit-exact floats, not just equal within tolerance
+                assert (got.lower, got.upper) == (want.lower, want.upper)
+        assert cache.get("b") == OTHER  # the last *valid* record wins
+        assert "only-bad" not in cache and "torn" not in cache
+        assert len(cache) == len(expected)
+
+    def test_file_round_trips_through_a_plain_json_reader(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        cache.put_many([("k1", RESULT), ("k2", OTHER)])
+        assert _reference_parse(cache.path) == {"k1": RESULT, "k2": OTHER}
+
+
+class TestCacheFaults:
+    def test_mid_file_garbage_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "solve_cache.jsonl"
+        path.write_bytes(
+            _record_line("k1").encode()
+            + b"\xff\xfe not even UTF-8\n"
+            + b'{"key": "half", "lower": 0.1, "upp\n'
+            + _record_line("k2", OTHER).encode()
+            + b"{broken\n"
+            + _record_line("k3").encode()
+        )
+        cache = SolveCache(tmp_path)
+        assert cache.get_many(["k1", "k2", "k3", "half"]) == [RESULT, OTHER, RESULT, None]
+        stats = cache.file_stats()
+        assert stats["entries"] == 3
+        assert stats["corrupt_lines"] == 3
+        assert stats["file_lines"] == 6
+        assert stats["stale_lines"] == 0
+
+    def test_interrupted_put_many_loses_only_the_torn_record(self, tmp_path, monkeypatch):
+        SolveCache(tmp_path).put("k0", RESULT)
+        real_write = os.write
+
+        def torn_write(fd: int, data) -> int:
+            real_write(fd, bytes(data)[:-25])  # the last record loses its tail
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        writer = SolveCache(tmp_path)
+        monkeypatch.setattr(os, "write", torn_write)
+        with pytest.raises(OSError):
+            writer.put_many([("k1", RESULT), ("k2", OTHER), ("k3", RESULT)])
+        monkeypatch.setattr(os, "write", real_write)
+
+        reader = SolveCache(tmp_path)
+        assert reader.get_many(["k0", "k1", "k2", "k3"]) == [RESULT, RESULT, OTHER, None]
+        assert reader.file_stats()["corrupt_lines"] == 1
+        assert not reader.path.read_bytes().endswith(b"\n")
+        # The next append starts on a fresh line, so nothing else is lost;
+        # the failed writer did not mark its batch as stored.
+        assert writer.put_many([("k3", RESULT), ("k4", OTHER)]) == 2
+        final = SolveCache(tmp_path)
+        assert final.get_many(["k0", "k1", "k2", "k3", "k4"]) == [
+            RESULT, RESULT, OTHER, RESULT, OTHER,
+        ]
+        assert final.file_stats()["corrupt_lines"] == 1
+
+    def test_compact_by_another_instance_under_a_live_reader(self, tmp_path):
+        writer = SolveCache(tmp_path)
+        results = {f"k{i}": (RESULT if i % 2 else OTHER) for i in range(40)}
+        writer.put_many(results.items())
+        with writer.path.open("a", encoding="utf-8") as handle:
+            handle.write("garbage\n")
+            for i in range(0, 40, 3):  # superseding duplicates shift every line
+                handle.write(_record_line(f"k{i}", results[f"k{i}"]))
+        reader = SolveCache(tmp_path)
+        assert len(reader) == 40  # index built before the swap
+        assert SolveCache(tmp_path).compact() == (55, 40)
+        assert reader.get_many(list(results)) == list(results.values())
+        assert all(key in reader for key in results)
+
+
+class TestThreadSafety:
+    def test_concurrent_first_access_reads_the_file_once(self, tmp_path):
+        SolveCache(tmp_path).put_many((f"bg{i}", RESULT) for i in range(200))
+
+        class SlowOpenCache(SolveCache):
+            opens = 0
+
+            def _read_records(self):
+                SlowOpenCache.opens += 1
+                time.sleep(0.05)  # widen the window a racing thread could use
+                return super()._read_records()
+
+        cache = SlowOpenCache(tmp_path)
+        barrier = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                if index == 0:
+                    cache.put_many([("fresh", OTHER)])
+                elif index == 1:
+                    cache.file_stats()
+                else:
+                    len(cache)
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert SlowOpenCache.opens == 1
+        assert cache.get("fresh") == OTHER  # the put survived the other threads' opens
+        assert len(cache) == 201
+        assert cache.path.read_text().count('"fresh"') == 1
+
+
+class TestFlagsRoundTrip:
+    @pytest.mark.parametrize("result", [
+        LossRateResult(lower=0.052748650764039395, upper=0.10467200847232382,
+                       iterations=1344, bins=128, converged=False, negligible=False),
+        LossRateResult(lower=0.0, upper=3.1e-12, iterations=64, bins=256,
+                       converged=True, negligible=True),
+    ], ids=["unconverged", "negligible"])
+    def test_flags_survive_memory_and_disk(self, tmp_path, result):
+        cache = SolveCache(tmp_path)
+        cache.put("k", result)
+        for source in (cache, SolveCache(tmp_path)):
+            loaded = source.get("k")
+            assert loaded == result
+            assert (loaded.converged, loaded.negligible) == (result.converged, result.negligible)
+            assert (loaded.lower, loaded.upper) == (result.lower, result.upper)

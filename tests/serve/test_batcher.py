@@ -78,6 +78,31 @@ class TestTriggers:
 
         run(scenario())
 
+    def test_deadline_runs_from_arrival_not_from_the_last_dispatch(self):
+        async def scenario():
+            collector = _Collector(gated=True)
+            batcher = await _started(
+                collector, batch_size=2, batch_delay_s=0.6, max_queue=16
+            )
+            batcher.submit("a")
+            batcher.submit("b")  # size trigger; the dispatch parks on the gate
+            deadline = time.monotonic() + 5
+            while batcher.depth > 0:
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.002)
+            batcher.submit("late")  # queues while the first batch is in dispatch
+            await asyncio.sleep(0.8)  # longer than batch_delay_s
+            released = time.monotonic()
+            collector.gate.set()
+            await collector.wait_for_batches(2)
+            # "late" already waited a whole window: it goes out at once,
+            # not after a fresh batch_delay_s (0.6 s) timed from the release.
+            assert time.monotonic() - released < 0.3
+            assert collector.batches == [["a", "b"], ["late"]]
+            await batcher.close()
+
+        run(scenario())
+
     def test_arrival_order_is_preserved_across_batches(self):
         async def scenario():
             collector = _Collector()

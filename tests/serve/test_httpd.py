@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import urllib.request
 
 import pytest
@@ -122,6 +123,9 @@ class TestShutdown:
                 client.loss(**QUICK)
             assert excinfo.value.status == 503
             assert excinfo.value.retry_after_s is not None
+            with pytest.raises(ServeError) as excinfo:  # its executor is released
+                client.stats()
+            assert excinfo.value.status == 503
         finally:
             server.close()
 
@@ -130,3 +134,41 @@ class TestShutdown:
         server = make_server("127.0.0.1", 0, service).start_background()
         server.close()
         server.close()
+
+
+class _SlowCache:
+    """Disk-cache stand-in whose ``len`` blocks, like a first read of a big cache file."""
+
+    hits = misses = 0
+    max_entries = max_bytes = None
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __len__(self) -> int:
+        self.entered.set()
+        self.release.wait(timeout=30)
+        return 0
+
+
+class TestStatsOffTheLoop:
+    def test_stats_reading_the_cache_does_not_stall_other_connections(self):
+        cache = _SlowCache()
+        service = QueryService(SweepEngine(cache=cache), batch_size=2, batch_delay_s=0.005)
+        server = make_server("127.0.0.1", 0, service).start_background()
+        url = f"http://127.0.0.1:{server.port}"
+        ServeClient(url).wait_until_ready(timeout_s=10.0)
+        replies: list[dict] = []
+        reader = threading.Thread(target=lambda: replies.append(ServeClient(url).stats()))
+        reader.start()
+        try:
+            assert cache.entered.wait(timeout=10)
+            # /stats is parked inside the cache; the loop must still answer.
+            assert ServeClient(url, timeout_s=3.0).healthz()["status"] == "ok"
+        finally:
+            cache.release.set()
+            reader.join(timeout=10)
+            server.close()
+        assert not reader.is_alive()
+        assert replies and replies[0]["cache"]["entries"] == 0

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core.results import LossRateResult
+from repro.exec import SerialBackend, SolveCache, SweepEngine
 from repro.exec.telemetry import SweepTelemetry
 from repro.serve.protocol import parse_request
 from repro.serve.service import (
@@ -314,3 +315,41 @@ class TestStats:
         assert stats["batches"]["shapes"] == {"4": 3}
         assert stats["engine"]["batched_tasks"] == 3.0
         assert stats["engine"]["fallback_solo"] == 1.0
+
+
+class TestUnconvergedReplies:
+    """A solve that runs out of bins stays flagged, with its bracket, in every tier."""
+
+    # relative_gap 1e-9 cannot be met within 128 bins: the solver stops
+    # unconverged after a few hundred iterations (~20 ms).
+    REQUEST = {"kind": "loss", "hurst": 0.8, "buffer": 0.3, "relative_gap": 1e-9,
+               "initial_bins": 64, "max_bins": 128}
+
+    @staticmethod
+    def _service(cache_dir) -> QueryService:
+        engine = SweepEngine(backend=SerialBackend(), cache=SolveCache(cache_dir))
+        return QueryService(engine, batch_size=2, batch_delay_s=0.005)
+
+    def test_unconverged_flag_survives_memory_and_disk_tiers(self, tmp_path):
+        request = parse_request(self.REQUEST)
+        service = self._service(tmp_path)
+        try:
+            solved = service.query(request)
+            replayed = service.query(request)
+        finally:
+            service.close()
+        assert solved["tier"] == "engine" and replayed["tier"] == "memory"
+        result = solved["result"]
+        assert result["converged"] is False and result["negligible"] is False
+        assert 0.0 < result["lower"] < result["upper"]
+        assert replayed["result"] == result
+
+        fresh = self._service(tmp_path)  # new memory tier, same disk cache
+        try:
+            from_disk = fresh.query(request)
+            telemetry = fresh.engine.telemetry
+        finally:
+            fresh.close()
+        assert from_disk["tier"] == "engine"
+        assert telemetry.cache_hits == 1 and telemetry.cache_misses == 0
+        assert from_disk["result"] == result

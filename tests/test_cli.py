@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -199,6 +201,20 @@ class TestCommands:
         assert "Solve cache" in out
         assert "entries" in out
         assert "stale_lines" in out
+
+    def test_cache_stats_counts_corrupt_lines(self, capsys, tmp_path):
+        from repro.core.results import LossRateResult
+        from repro.exec import SolveCache
+
+        cache = SolveCache(tmp_path)
+        cache.put("k1", LossRateResult(lower=0.1, upper=0.2, iterations=8, bins=32,
+                                       converged=True, negligible=False))
+        with cache.path.open("a") as handle:
+            handle.write("garbage\n")
+        assert main(["cache", "--stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"corrupt_lines\s*=\s*1\b", out), out
+        assert re.search(r"entries\s*=\s*1\b", out), out
 
     def test_cache_default_action_is_stats(self, capsys, tmp_path):
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
