@@ -24,20 +24,31 @@ Stopping rules follow Section III verbatim: report the average of the
 bounds; stop when the gap is below 20 % of the average, or report zero
 loss when the upper bound falls below 1e-10.
 
-The stepping kernel is *spectral*: per refinement level the two static
-increment vectors are transformed once (:class:`_SpectralPlan`), and each
-step advances both chains with a single batched ``(2, L)`` rfft/irfft
-pair over preallocated scratch buffers.  Boundary reflection/absorption
-stays in the spatial domain each step, so Eq. 20 semantics — and with
-them the Proposition II.1 bound ordering — are untouched; only float
-round-off differs from the direct path (see ``SOLVER_VERSION``).
+Every solve runs through one block loop (:func:`_drive`): a solo
+:meth:`FluidQueue.loss_rate` is a batch of one of
+:func:`batch_loss_rates`, and :meth:`FluidQueue.stationary_occupancy` is
+the same loop under a total-variation stopping rule.  The loop advances
+its members in lockstep blocks; after each block a per-member rule
+decides whether the member retires, keeps stepping, or refines its grid.
+
+The stepping kernel is *spectral*: per refinement level the static
+increment vectors are transformed once, and each step advances every
+chain pair at that level with one stacked ``(K, 2, L)`` rfft/irfft pair
+(:class:`_StackedSpectralPlan`).  Boundary reflection/absorption stays in
+the spatial domain each step, so Eq. 20 semantics — and with them the
+Proposition II.1 bound ordering — are untouched; only float round-off
+differs from the direct path (see ``SOLVER_VERSION``).  The per-chain
+kernel (:meth:`_BoundedChains.iterate` with :class:`_SpectralPlan`)
+remains for the Fig. 2 snapshots and as the reference the stacked
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -67,8 +78,8 @@ alter the float bit patterns of solver output.  History: 1 = per-chain
 ``scipy.signal.fftconvolve`` stepping; 2 = batched spectral kernel with
 cached increment transforms; 3 = multi-task stacked spectral kernel
 (:func:`batch_loss_rates`) — same-shape solves advance through one
-``(tasks, 2, L)`` rfft/irfft pair per step.  The stacked path is
-regression-tested bit-identical to the per-task path, but the stepping
+``(tasks, 2, L)`` rfft/irfft pair per step.  The stacked kernel is
+regression-tested bit-identical to the per-chain kernel, but the stepping
 implementation changed, so the version bump lets persisted entries
 re-prove themselves instead of being trusted across the refactor.
 """
@@ -449,58 +460,21 @@ class FluidQueue:
     def loss_rate(self, config: SolverConfig | None = None) -> LossRateResult:
         """Compute bounded loss-rate estimates per Section II/III.
 
+        A solo solve is a batch of one of :func:`batch_loss_rates`.
         Returns a :class:`~repro.core.results.LossRateResult`; consult
         ``result.converged`` before trusting ``result.estimate`` to meet the
         gap criterion.
         """
-        config = config or SolverConfig()
-        trivial = self._trivial_result(config)
-        if trivial is not None:
-            return trivial
+        return batch_loss_rates([self], config)[0]
 
-        chains = _BoundedChains(
+    def _chains(self, bins: int, use_fft: bool, fft_threshold_bins: int) -> _BoundedChains:
+        """Fresh bound chains for this queue (lower empty, upper full)."""
+        return _BoundedChains(
             workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
             buffer_size=self.buffer_size,
-            bins=config.initial_bins,
-            use_fft=config.use_fft,
-            fft_threshold_bins=config.fft_threshold_bins,
-        )
-        iterations = 0
-        previous: tuple[float, float] | None = None
-        while iterations < config.max_iterations:
-            steps = min(config.block_iterations, config.max_iterations - iterations)
-            chains.iterate(steps)
-            iterations += steps
-            lower, upper = chains.loss_bounds()
-            if upper <= config.negligible_loss:
-                return LossRateResult(
-                    lower=lower, upper=upper, iterations=iterations,
-                    bins=chains.bins, converged=True, negligible=True,
-                    stats=chains.counters.stats(),
-                )
-            mid = 0.5 * (lower + upper)
-            if upper - lower <= config.relative_gap * mid:
-                return LossRateResult(
-                    lower=lower, upper=upper, iterations=iterations,
-                    bins=chains.bins, converged=True, negligible=False,
-                    stats=chains.counters.stats(),
-                )
-            if previous is not None and self._stalled(previous, (lower, upper), config):
-                if chains.bins * 2 > config.max_bins:
-                    return LossRateResult(
-                        lower=lower, upper=upper, iterations=iterations,
-                        bins=chains.bins, converged=False, negligible=False,
-                        stats=chains.counters.stats(),
-                    )
-                chains = chains.refined()
-                previous = None
-                continue
-            previous = (lower, upper)
-        lower, upper = chains.loss_bounds()
-        return LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=chains.bins, converged=False, negligible=upper <= config.negligible_loss,
-            stats=chains.counters.stats(),
+            bins=bins,
+            use_fft=use_fft,
+            fft_threshold_bins=fft_threshold_bins,
         )
 
     def occupancy_bounds(
@@ -521,13 +495,7 @@ class FluidQueue:
             raise ValueError("checkpoints must be non-negative iteration counts")
         if self.buffer_size <= 0.0:
             raise ValueError("occupancy bounds need a positive buffer")
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
-            buffer_size=self.buffer_size,
-            bins=bins,
-            use_fft=use_fft,
-            fft_threshold_bins=fft_threshold_bins,
-        )
+        chains = self._chains(bins, use_fft, fft_threshold_bins)
         snapshots: list[OccupancyBounds] = []
         done = 0
         for target in checkpoints:
@@ -552,7 +520,8 @@ class FluidQueue:
         Note the criterion differs from :meth:`loss_rate`: loss bounds can
         agree (e.g. both negligible) long before the distributions
         themselves have converged, so this method tracks the distributions
-        directly.
+        directly.  It runs the same block loop as :meth:`loss_rate`, under
+        the total-variation rule instead of the loss-gap rule.
         """
         config = config or SolverConfig()
         check_positive("distribution_tolerance", distribution_tolerance)
@@ -561,39 +530,27 @@ class FluidQueue:
                 "stationary occupancy needs a positive buffer and a source "
                 "that can exceed the service rate"
             )
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
-            buffer_size=self.buffer_size,
-            bins=config.initial_bins,
-            use_fft=config.use_fft,
-            fft_threshold_bins=config.fft_threshold_bins,
-        )
 
-        def total_variation() -> float:
-            return 0.5 * float(np.abs(chains.lower_pmf - chains.upper_pmf).sum())
-
-        iterations = 0
-        previous_distance: float | None = None
-        while iterations < config.max_iterations:
-            steps = min(config.block_iterations, config.max_iterations - iterations)
-            chains.iterate(steps)
-            iterations += steps
-            distance = total_variation()
+        def finish(member: _BatchMember, iterations: int) -> OccupancyBounds | None:
+            chains = member.chains
+            distance = 0.5 * float(np.abs(chains.lower_pmf - chains.upper_pmf).sum())
             if distance <= distribution_tolerance:
-                break
-            stalled = (
-                previous_distance is not None
-                and previous_distance - distance
-                < config.stall_relative_change * max(previous_distance, 1e-12)
+                return chains.snapshot(iterations)
+            previous = member.previous
+            stalled = previous is not None and previous - distance < (
+                config.stall_relative_change * max(previous, 1e-12)
             )
-            if stalled:
-                if chains.bins * 2 > config.max_bins:
-                    break
-                chains = chains.refined()
-                previous_distance = None
-                continue
-            previous_distance = distance
-        return chains.snapshot(iterations)
+            if _refine_or_give_up(member, stalled, distance, config):
+                return chains.snapshot(iterations)
+            return None
+
+        (bounds,) = _drive(
+            [self._chains(config.initial_bins, config.use_fft, config.fft_threshold_bins)],
+            config,
+            finish,
+            lambda member, iterations: member.chains.snapshot(iterations),
+        )
+        return bounds
 
     def _trivial_result(self, config: SolverConfig) -> LossRateResult | None:
         """Handle the analytically exact corner cases."""
@@ -609,19 +566,6 @@ class FluidQueue:
                 converged=True, negligible=loss <= config.negligible_loss,
             )
         return None
-
-    @staticmethod
-    def _stalled(
-        previous: tuple[float, float],
-        current: tuple[float, float],
-        config: SolverConfig,
-    ) -> bool:
-        """True when both bounds have (relatively) stopped moving over a block."""
-        (prev_lower, prev_upper) = previous
-        (lower, upper) = current
-        scale = max(upper, config.negligible_loss)
-        moved = max(abs(lower - prev_lower), abs(upper - prev_upper)) / scale
-        return moved < config.stall_relative_change
 
 
 def solve_loss_rate(
@@ -641,8 +585,10 @@ def solve_loss_rate(
     return queue.loss_rate(config=config)
 
 
+
+
 # ---------------------------------------------------------------------- #
-# batched solves (SOLVER_VERSION = 3)
+# the block loop and its stacked kernel (SOLVER_VERSION = 3)
 # ---------------------------------------------------------------------- #
 
 
@@ -673,6 +619,11 @@ class _StackedSpectralPlan:
     def convolve(self, states: np.ndarray) -> np.ndarray:
         """Linear convolution of every chain in the stack, sub-chunked."""
         self._padded[..., : self._width] = states
+        if len(self._padded) <= self._stack_width:
+            # One sub-chunk (always so for a solo solve): no output copy.
+            spectrum = rfft(self._padded, axis=-1)
+            spectrum *= self.kernel_spectrum
+            return irfft(spectrum, n=self.length, axis=-1)
         out = np.empty_like(self._padded)
         for start in range(0, self._padded.shape[0], self._stack_width):
             block = slice(start, start + self._stack_width)
@@ -683,16 +634,18 @@ class _StackedSpectralPlan:
 
 
 class _BatchMember:
-    """One task's mutable solve state inside :func:`batch_loss_rates`."""
+    """One solve's mutable state inside :func:`_drive`."""
 
     __slots__ = ("index", "chains", "previous", "counted_levels")
 
     def __init__(self, index: int, chains: "_BoundedChains") -> None:
         self.index = index
         self.chains = chains
-        self.previous: tuple[float, float] | None = None
+        # The stopping rule's progress reading after the previous block
+        # (loss bounds or a distance); None after a start or a refinement.
+        self.previous: Any = None
         # Bin counts whose stacked kernel transforms were already charged
-        # to this member (the solo path charges them once per level too).
+        # to this member (the per-chain kernel charges them once per level).
         self.counted_levels: set[int] = set()
 
 
@@ -700,22 +653,25 @@ class _StackedGroup:
     """Members currently sharing one stacked spectral plan.
 
     Built per refinement level; rebuilt whenever membership at that level
-    changes (a member converged, stalled out, or refined into the level).
-    States are copied out to each member's chains after every block so
-    the per-member bound checks and refinement read exactly what the solo
-    path would.
+    changes (a member retired, stalled out, or refined into the level).
+    States are copied out to each member's chains after every block, so
+    the stopping rule and refinement read each member's own chains.
     """
 
     def __init__(self, members: Sequence[_BatchMember]) -> None:
         self.members = list(members)
         self.bins = members[0].chains.bins
+        before = time.perf_counter()
         self.plan = _StackedSpectralPlan([m.chains for m in members], self.bins)
+        build_share = (time.perf_counter() - before) / len(self.members)
         self.states = np.stack([m.chains._state for m in members])
         self._scratch = np.empty_like(self.states)
         for member in members:
+            counters = member.chains.counters
+            counters.fft_seconds += build_share
             if self.bins not in member.counted_levels:
                 member.counted_levels.add(self.bins)
-                member.chains.counters.transforms += self.plan.transforms
+                counters.transforms += self.plan.transforms
 
     def holds(self, members: Sequence[_BatchMember]) -> bool:
         """True when this group still steps exactly these members' chains."""
@@ -766,81 +722,30 @@ class _StackedGroup:
             member.chains._state[...] = states[position]
 
 
-def _finish_member(
-    member: _BatchMember, iterations: int, config: SolverConfig
-) -> LossRateResult | None:
-    """Per-member convergence bookkeeping after one lockstep block.
+_Result = TypeVar("_Result")
 
-    Mirrors the solo :meth:`FluidQueue.loss_rate` loop body exactly:
-    negligible-loss exit, relative-gap exit, stall-triggered refinement
-    (or give-up at ``max_bins``).  Returns the finished result, or None
-    when the member stays active (possibly with refined chains).
+
+def _drive(
+    chains: Sequence[_BoundedChains],
+    config: SolverConfig,
+    finish: Callable[[_BatchMember, int], _Result | None],
+    exhausted: Callable[[_BatchMember, int], _Result],
+) -> list[_Result]:
+    """The one block loop behind every bounded solve; results in input order.
+
+    Each round every active member advances the same number of steps:
+    members at one spectral refinement level through one stacked
+    ``(K, 2, L)`` rfft/irfft pair (:class:`_StackedGroup`), members on
+    the direct-convolution path through their own chains.  After the
+    block, ``finish(member, iterations)`` applies the stopping rule to
+    each member: a value retires the member with that result, None keeps
+    it stepping (perhaps on a grid the rule refined).  Members still
+    active when ``config.max_iterations`` runs out retire with
+    ``exhausted(member, iterations)``.  Stopping and refinement are
+    strictly per member, so no result depends on what shares its stack.
     """
-    chains = member.chains
-    lower, upper = chains.loss_bounds()
-    if upper <= config.negligible_loss:
-        return LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=chains.bins, converged=True, negligible=True,
-            stats=chains.counters.stats(),
-        )
-    mid = 0.5 * (lower + upper)
-    if upper - lower <= config.relative_gap * mid:
-        return LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=chains.bins, converged=True, negligible=False,
-            stats=chains.counters.stats(),
-        )
-    if member.previous is not None and FluidQueue._stalled(
-        member.previous, (lower, upper), config
-    ):
-        if chains.bins * 2 > config.max_bins:
-            return LossRateResult(
-                lower=lower, upper=upper, iterations=iterations,
-                bins=chains.bins, converged=False, negligible=False,
-                stats=chains.counters.stats(),
-            )
-        member.chains = chains.refined()
-        member.previous = None
-        return None
-    member.previous = (lower, upper)
-    return None
-
-
-def batch_loss_rates(
-    queues: Sequence[FluidQueue], config: SolverConfig | None = None
-) -> list[LossRateResult]:
-    """Solve many queues at once through the stacked spectral kernel.
-
-    All queues share one ``config``, so their block schedules run in
-    lockstep: each round every active member advances the same number of
-    steps, members at the same refinement level (and past the FFT
-    threshold) through one stacked ``(K, 2, L)`` rfft/irfft pair, members
-    on the direct-convolution path through the ordinary per-task kernel.
-    Convergence, stalling and grid refinement remain strictly per member,
-    so every returned :class:`~repro.core.results.LossRateResult` is
-    bit-identical to what :meth:`FluidQueue.loss_rate` returns for that
-    queue alone — batching changes throughput, never output.
-
-    Results are returned in input order.
-    """
-    config = config or SolverConfig()
-    queue_list = list(queues)
-    results: list[LossRateResult | None] = [None] * len(queue_list)
-    members: list[_BatchMember] = []
-    for index, queue in enumerate(queue_list):
-        trivial = queue._trivial_result(config)
-        if trivial is not None:
-            results[index] = trivial
-            continue
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=queue.source, service_rate=queue.service_rate),
-            buffer_size=queue.buffer_size,
-            bins=config.initial_bins,
-            use_fft=config.use_fft,
-            fft_threshold_bins=config.fft_threshold_bins,
-        )
-        members.append(_BatchMember(index=index, chains=chains))
+    members = [_BatchMember(index, pair) for index, pair in enumerate(chains)]
+    results: list[Any] = [None] * len(members)
     iterations = 0
     groups: dict[int, _StackedGroup] = {}
     while members and iterations < config.max_iterations:
@@ -861,18 +766,100 @@ def batch_loss_rates(
         iterations += steps
         survivors: list[_BatchMember] = []
         for member in members:
-            finished = _finish_member(member, iterations, config)
+            finished = finish(member, iterations)
             if finished is None:
                 survivors.append(member)
             else:
                 results[member.index] = finished
         members = survivors
-    for member in members:  # iteration budget exhausted, as in the solo path
-        lower, upper = member.chains.loss_bounds()
-        results[member.index] = LossRateResult(
+    for member in members:
+        results[member.index] = exhausted(member, iterations)
+    return results
+
+
+def _refine_or_give_up(
+    member: _BatchMember, stalled: bool, progress: Any, config: SolverConfig
+) -> bool:
+    """Stall handling shared by both stopping rules.
+
+    A member still moving records ``progress`` for the next block's stall
+    test.  A stalled member doubles its bin count (footnote 3) and forgets
+    its progress reading — or, when doubling would pass
+    ``config.max_bins``, gives up: the only case that returns True.
+    """
+    if not stalled:
+        member.previous = progress
+        return False
+    if member.chains.bins * 2 > config.max_bins:
+        return True
+    member.chains = member.chains.refined()
+    member.previous = None
+    return False
+
+
+def batch_loss_rates(
+    queues: Sequence[FluidQueue], config: SolverConfig | None = None
+) -> list[LossRateResult]:
+    """Solve many queues at once through the stacked spectral kernel.
+
+    Every loss-rate solve runs here; :meth:`FluidQueue.loss_rate` is a
+    batch of one.  All queues share one ``config``, so their block
+    schedules run in lockstep through :func:`_drive` under Section III's
+    loss-gap rule: negligible-loss exit, relative-gap exit, stall-
+    triggered refinement, or give-up at ``max_bins``.  Stacked real FFTs
+    transform rows independently, so a queue's
+    :class:`~repro.core.results.LossRateResult` is bit-identical whatever
+    else shares its batch, and in whatever order — batching changes
+    throughput, never output.
+
+    Results are returned in input order.
+    """
+    config = config or SolverConfig()
+    queue_list = list(queues)
+    results = [queue._trivial_result(config) for queue in queue_list]
+    pending = [index for index, result in enumerate(results) if result is None]
+
+    def retire(
+        member: _BatchMember, iterations: int, bounds: tuple[float, float], converged: bool
+    ) -> LossRateResult:
+        lower, upper = bounds
+        return LossRateResult(
             lower=lower, upper=upper, iterations=iterations,
-            bins=member.chains.bins, converged=False,
+            bins=member.chains.bins, converged=converged,
             negligible=upper <= config.negligible_loss,
             stats=member.chains.counters.stats(),
         )
+
+    def finish(member: _BatchMember, iterations: int) -> LossRateResult | None:
+        lower, upper = bounds = member.chains.loss_bounds()
+        if upper <= config.negligible_loss or (
+            upper - lower <= config.relative_gap * (0.5 * (lower + upper))
+        ):
+            return retire(member, iterations, bounds, converged=True)
+        previous = member.previous
+        stalled = previous is not None and (
+            max(abs(lower - previous[0]), abs(upper - previous[1]))
+            / max(upper, config.negligible_loss)
+            < config.stall_relative_change
+        )
+        if _refine_or_give_up(member, stalled, bounds, config):
+            return retire(member, iterations, bounds, converged=False)
+        return None
+
+    def exhausted(member: _BatchMember, iterations: int) -> LossRateResult:
+        return retire(member, iterations, member.chains.loss_bounds(), converged=False)
+
+    solved = _drive(
+        [
+            queue_list[index]._chains(
+                config.initial_bins, config.use_fft, config.fft_threshold_bins
+            )
+            for index in pending
+        ],
+        config,
+        finish,
+        exhausted,
+    )
+    for index, result in zip(pending, solved):
+        results[index] = result
     return [result for result in results if result is not None]

@@ -10,9 +10,9 @@ per-cell :class:`CellTelemetry` through :class:`SweepTelemetry`.
 The serial backend reproduces the legacy hand-rolled sweep loops bit for
 bit; the process-pool backend produces identical numbers in parallel.
 Cache misses are planned into kernel-stackable batches
-(:func:`plan_batches`) so shape-compatible cells advance through one
-stacked spectral call — regression-tested bit-identical to per-task
-solves.
+(:func:`plan_batches`), and every batch — a batch of one included — goes
+through :func:`solve_task_batch`, so shape-compatible cells advance
+through one stacked spectral call without changing any cell's bits.
 """
 
 from repro.exec.backends import ProcessPoolBackend, SerialBackend, resolve_backend

@@ -1,17 +1,14 @@
 """Pluggable execution backends for sweep plans.
 
-A backend's unit of work is a *batch*: :meth:`run_batches` turns a
+A backend's one unit of work is a *batch*: :meth:`run_batches` turns a
 sequence of planner-produced batches (see :mod:`repro.exec.planner`) into
 one ``[(index, result, seconds), ...]`` list per completed batch, batches
-in any completion order.  Multi-task batches go through the stacked
-spectral kernel (``solve_task_batch``); batches of one take the ordinary
-per-task path.  The legacy per-task :meth:`run` survives as a thin
-adapter (every task its own batch) for callers that pre-date the batched
-contract.  Two implementations ship:
+in any completion order.  Every batch, a batch of one included, is solved
+by :func:`~repro.exec.task.solve_task_batch` through the solver's one
+block loop.  Two implementations ship:
 
-* :class:`SerialBackend` — runs cells inline, in task order.  This is the
-  reference path: it performs the *same calls in the same order* as the
-  legacy hand-rolled sweep loops, so its numeric output is bit-identical.
+* :class:`SerialBackend` — runs batches inline, in planner order.  This
+  is the reference path; the pool must reproduce its numbers bit for bit.
 * :class:`ProcessPoolBackend` — fans work out over worker processes.
   Batched dispatch ships *whole batches*: a batch is never split across
   workers (splitting would shrink the kernel stack and forfeit the
@@ -52,14 +49,9 @@ BatchResult = list[tuple[int, LossRateResult, float]]
 def _solve_batch(batch: Batch) -> BatchResult:
     """Solve one planner batch; per-cell seconds share the batch wall clock.
 
-    A batch of one goes through :meth:`SolveTask.run` — the pre-batching
-    per-task path — which is also the planner's solo-fallback route for
-    tasks that could not share a kernel stack.
+    Also the pool's worker-side entry point: one whole batch per future.
     """
     start = time.perf_counter()
-    if len(batch) == 1:
-        index, task = batch[0]
-        return [(index, task.run(), time.perf_counter() - start)]
     results = solve_task_batch([task for _, task in batch])
     seconds = (time.perf_counter() - start) / len(batch)
     return [
@@ -69,17 +61,9 @@ def _solve_batch(batch: Batch) -> BatchResult:
 
 
 class SerialBackend:
-    """Run every task inline, in order (the bit-identical reference path)."""
+    """Run every batch inline, in order (the bit-identical reference path)."""
 
     jobs = 1
-
-    def run(
-        self, tasks: Sequence[tuple[int, SolveTask]]
-    ) -> Iterator[tuple[int, LossRateResult, float]]:
-        for index, task in tasks:
-            start = time.perf_counter()
-            result = task.run()
-            yield index, result, time.perf_counter() - start
 
     def run_batches(self, batches: Sequence[Batch]) -> Iterator[BatchResult]:
         """Solve batches inline, in planner order, one result list each."""
@@ -91,34 +75,13 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-def _solve_chunk(
-    chunk: Sequence[tuple[int, SolveTask]],
-) -> list[tuple[int, LossRateResult, float]]:
-    """Worker-side entry point: solve a chunk of (index, task) pairs."""
-    out: list[tuple[int, LossRateResult, float]] = []
-    for index, task in chunk:
-        start = time.perf_counter()
-        result = task.run()
-        out.append((index, result, time.perf_counter() - start))
-    return out
-
-
-def _solve_batch_worker(batch: list[tuple[int, SolveTask]]) -> BatchResult:
-    """Worker-side entry point: one whole planner batch per future."""
-    return _solve_batch(batch)
-
-
 class ProcessPoolBackend:
-    """Fan tasks out over a persistent process pool in contiguous chunks.
+    """Fan whole batches out over a persistent process pool.
 
     Parameters
     ----------
     jobs:
         Worker process count; defaults to ``os.cpu_count()``.
-    chunk_size:
-        Tasks per submitted chunk.  Defaults to sizing from the grid:
-        roughly four chunks per worker, so stragglers (cells near the
-        loss knee converge slowly) can be rebalanced.
     start_method:
         ``multiprocessing`` start method for the workers.  ``None``
         (default) picks ``fork`` where the platform supports it —
@@ -126,35 +89,23 @@ class ProcessPoolBackend:
         instead of cold-importing it — and falls back to the platform
         default elsewhere.
 
-    The executor is created on first :meth:`run` and reused across runs
-    until :meth:`close` (also triggered by ``with backend:``), so warm
-    sweeps skip worker start-up entirely.
+    The executor is created on first :meth:`run_batches` and reused
+    across runs until :meth:`close` (also triggered by ``with backend:``),
+    so warm sweeps skip worker start-up entirely.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        chunk_size: int | None = None,
         start_method: str | None = None,
     ) -> None:
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
         if start_method is None and "fork" in multiprocessing.get_all_start_methods():
             start_method = "fork"
         self.start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
-
-    def _chunks(
-        self, tasks: Sequence[tuple[int, SolveTask]]
-    ) -> list[list[tuple[int, SolveTask]]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(tasks) // (self.jobs * 4)))
-        return [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -187,33 +138,14 @@ class ProcessPoolBackend:
         pool = self._executor()
         wait([pool.submit(time.sleep, 0.1) for _ in range(self.jobs)])
 
-    def run(
-        self, tasks: Sequence[tuple[int, SolveTask]]
-    ) -> Iterator[tuple[int, LossRateResult, float]]:
-        tasks = list(tasks)
-        if not tasks:
-            return
-        if self.jobs == 1 or len(tasks) == 1:
-            # No parallelism to gain; skip the pool (and its pickling).
-            yield from SerialBackend().run(tasks)
-            return
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        pool = self._executor()
-        pending = {pool.submit(_solve_chunk, chunk) for chunk in self._chunks(tasks)}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield from future.result()
-
     def run_batches(self, batches: Sequence[Batch]) -> Iterator[BatchResult]:
         """Fan whole batches out over the pool, one batch per future.
 
         A batch is the kernel's stacking unit, so it is never split
-        across workers — this is exactly the chunking fix the per-task
-        path needed: workers receive coherent units of work instead of
-        slices that defeat the stacked FFT.  With one worker (or one
-        batch) the pool is skipped entirely, pickling included.
+        across workers: each worker receives a coherent unit of work
+        instead of a slice that would defeat the stacked FFT.  With one
+        worker (or one batch) the pool is skipped entirely, pickling
+        included.
         """
         batches = [list(batch) for batch in batches if batch]
         if not batches:
@@ -224,7 +156,7 @@ class ProcessPoolBackend:
         from concurrent.futures import FIRST_COMPLETED, wait
 
         pool = self._executor()
-        pending = {pool.submit(_solve_batch_worker, batch) for batch in batches}
+        pending = {pool.submit(_solve_batch, batch) for batch in batches}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:

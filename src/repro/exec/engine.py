@@ -16,10 +16,10 @@ registry, the CLI and the benchmarks.  Responsibilities:
 5. write each completed batch back to the cache in one bulk ``put_many``
    append.
 
-A default-constructed engine (serial backend, no cache) performs exactly
-the same computations as the legacy hand-rolled loops; the batched
-kernel is regression-tested bit-identical to the per-task path, so the
-refactored sweeps stay bit-identical.
+A default-constructed engine (serial backend, no cache) reproduces the
+hand-rolled sweep loops bit for bit: every solve runs through the
+solver's one block loop, whose results do not depend on batch width or
+order, so batching a grid cannot change a cell.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.results import LossRateResult
-from repro.exec.backends import SerialBackend
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.cache import SolveCache
 from repro.exec.planner import DEFAULT_MAX_BATCH, plan_batches
 from repro.exec.task import SolveTask, SweepPlan
@@ -43,7 +43,8 @@ class SweepEngine:
     ----------
     backend:
         A :class:`~repro.exec.backends.SerialBackend` (default) or
-        :class:`~repro.exec.backends.ProcessPoolBackend`.
+        :class:`~repro.exec.backends.ProcessPoolBackend`; the engine
+        uses only their ``run_batches``, ``jobs`` and ``close``.
     cache:
         Optional :class:`~repro.exec.cache.SolveCache`; ``None`` disables
         persistent caching (library default — the CLI enables it).
@@ -66,7 +67,7 @@ class SweepEngine:
 
     def __init__(
         self,
-        backend: object | None = None,
+        backend: SerialBackend | ProcessPoolBackend | None = None,
         cache: SolveCache | None = None,
         progress: ProgressCallback | None = None,
         max_batch: int | None = None,
@@ -119,30 +120,15 @@ class SweepEngine:
             else:
                 pending.append((index, task))
 
-        run_batches = getattr(self.backend, "run_batches", None)
-        if callable(run_batches):
-            batches = plan_batches(pending, max_batch=self._plan_width(len(pending)))
-            for batch_result in run_batches(batches):
-                if self.cache is not None:
-                    self.cache.put_many(
-                        (keys[index], result) for index, result, _ in batch_result
-                    )
-                for index, result, seconds in batch_result:
-                    results[index] = result
-                    done += 1
-                    self._record(
-                        CellTelemetry.from_result(
-                            index, keys[index], seconds, result, cached=False
-                        ),
-                        done,
-                        total,
-                    )
-        else:  # duck-typed legacy backend without the batched contract
-            for index, result, seconds in self.backend.run(pending):
+        batches = plan_batches(pending, max_batch=self._plan_width(len(pending)))
+        for batch_result in self.backend.run_batches(batches):
+            if self.cache is not None:
+                self.cache.put_many(
+                    (keys[index], result) for index, result, _ in batch_result
+                )
+            for index, result, seconds in batch_result:
                 results[index] = result
                 done += 1
-                if self.cache is not None:
-                    self.cache.put(keys[index], result)
                 self._record(
                     CellTelemetry.from_result(
                         index, keys[index], seconds, result, cached=False

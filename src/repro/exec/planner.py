@@ -8,12 +8,12 @@ buckets the cache-miss cells of a plan by that hash, preserving first-seen
 bucket order and task order within a bucket, and splits oversized buckets
 at ``max_batch`` so one straggler batch cannot monopolize a worker.
 
-Tasks that end up alone in their bucket are still emitted (as batches of
-one); the backend runs those through the ordinary per-task path, which is
-what the ``fallback_solo`` telemetry counter measures.  Cache hits never
-reach the planner: the engine resolves them before planning, so each task
-keeps its own fingerprint and cache entry regardless of how it was
-batched.
+Tasks that end up alone in their bucket are still emitted, as batches of
+one; the backend solves those through the same stacked driver at width
+one (the ``fallback_solo`` telemetry counter counts cells that never
+shared a kernel stack).  Cache hits never reach the planner: the engine
+resolves them before planning, so each task keeps its own fingerprint
+and cache entry regardless of how it was batched.
 """
 
 from __future__ import annotations

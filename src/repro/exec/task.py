@@ -3,7 +3,8 @@
 A :class:`SolveTask` freezes everything one loss-rate computation needs —
 the source, the queue coordinates and the solver configuration — so the
 execution engine can treat every grid cell uniformly: hash it for the
-persistent cache, ship it to a worker process, or run it inline.
+persistent cache, ship it to a worker process, or stack it with
+compatible tasks in one :func:`solve_task_batch` call.
 
 A :class:`SweepPlan` is a 2-D grid of such tasks in row-major order plus
 the axis labels/values the result surface carries.  Sweep builders hoist
@@ -155,24 +156,19 @@ class SweepPlan:
 def solve_task_batch(tasks: Sequence[SolveTask]) -> list[LossRateResult]:
     """Solve a group-compatible batch through the stacked kernel, in order.
 
-    All tasks must share one :meth:`SolveTask.group_key` hash (the batch
-    planner guarantees this; direct callers get a ``ValueError``
-    otherwise).  A batch of one task takes the exact per-task path
-    :meth:`SolveTask.run` takes, and larger batches are regression-tested
-    bit-identical to it, so callers never trade correctness for the
-    throughput win.
+    Every engine solve runs here, a batch of one included.  All tasks
+    must share one :meth:`SolveTask.group_key` hash (the batch planner
+    guarantees this; direct callers get a ``ValueError`` otherwise).  The
+    solver's results do not depend on batch width or order, so a task
+    solved in a batch equals the same task solved by :meth:`SolveTask.run`.
     """
     if not tasks:
         return []
-    if len(tasks) == 1:
-        return [tasks[0].run()]
-    reference = tasks[0].batch_key()
-    for task in tasks[1:]:
-        if task.batch_key() != reference:
-            raise ValueError(
-                "solve_task_batch needs group-compatible tasks; "
-                "partition with repro.exec.planner.plan_batches first"
-            )
+    if len({task.batch_key() for task in tasks}) > 1:
+        raise ValueError(
+            "solve_task_batch needs group-compatible tasks; "
+            "partition with repro.exec.planner.plan_batches first"
+        )
     queues = [
         FluidQueue.from_normalized(
             source=task.source,

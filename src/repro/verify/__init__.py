@@ -6,10 +6,11 @@ loss rate (Prop. II.1), correlation beyond the horizon is irrelevant
 package checks them as machine-verified properties over randomly
 generated scenarios instead of hand-picked points: a seeded stratified
 :class:`~repro.verify.scenario.ScenarioGenerator`, differential
-:mod:`oracles <repro.verify.oracles>` (spectral vs direct kernel, batched
-vs solo stacked-kernel solves, bound ordering under refinement, solver vs
-Monte Carlo, solver vs Markov, solver vs the :mod:`repro.netsim` network
-simulator),
+:mod:`oracles <repro.verify.oracles>` (spectral vs direct kernel, stack
+width and order invariance of batched solves, bound ordering under
+refinement, solver vs Monte Carlo — the one statistical Monte Carlo
+oracle — solver vs Markov, and the :mod:`repro.netsim` network simulator
+vs the Eq. 9 recursion, exactly, on one shared sampled path),
 :mod:`metamorphic relations <repro.verify.metamorphic>` (monotonicity,
 relabeling invariance, shuffle-beyond-horizon invariance, Hurst
 recovery), the :mod:`matched-moment model comparison
@@ -29,7 +30,6 @@ from repro.verify.matched import (
     FamilyTraits,
     MatchedModelsOracle,
     matched_rate_source,
-    matched_single_queue,
     run_model_comparison,
     sample_family_trace,
 )
@@ -97,7 +97,6 @@ __all__ = [
     "VerifyCheck",
     "default_checks",
     "matched_rate_source",
-    "matched_single_queue",
     "minimize_scenario",
     "netsim_single_queue",
     "run_corpus",

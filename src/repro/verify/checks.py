@@ -83,7 +83,7 @@ class CheckContext:
         implementation.
     simulate_network:
         ``(topology, duration, warmup, seed) -> NetSimResult``; the
-        network-simulator hook the netsim-vs-solver oracle replicates
+        network-simulator hook the netsim check runs its shared path
         through.  The default runs :func:`repro.netsim.simulate` inline.
     family_trace:
         ``(scenario, duration, bin_width, rng) -> np.ndarray``; samples a

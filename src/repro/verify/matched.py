@@ -42,6 +42,7 @@ from repro.verify.scenario import (
     FUZZ_SOLVER_CONFIG,
     MATCHED_FAMILIES,
     Scenario,
+    netsim_single_queue,
 )
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "FamilyTraits",
     "MatchedModelsOracle",
     "matched_rate_source",
-    "matched_single_queue",
     "run_model_comparison",
     "sample_family_trace",
 ]
@@ -259,31 +259,6 @@ def matched_rate_source(
     return TraceSource.from_array(rates, bin_width)
 
 
-def matched_single_queue(scenario: Scenario, rate_source):
-    """The scenario's queue fed by an arbitrary arrival process.
-
-    Same one-node topology as
-    :func:`~repro.verify.scenario.netsim_single_queue`, but with the
-    flow driven by the given source instead of the renewal model — the
-    queue the matched-model comparison pushes every family through.
-    """
-    from repro.netsim import Flow, QueueNode, SinkNode, Topology
-
-    service_rate = scenario.source.mean_rate / scenario.utilization
-    return Topology(
-        nodes=(
-            QueueNode(
-                "queue",
-                service_rate=service_rate,
-                buffer=scenario.normalized_buffer * service_rate,
-            ),
-            SinkNode("sink"),
-        ),
-        links=(("queue", "sink"),),
-        flows=(Flow("flow", rate_source, route=("queue", "sink")),),
-    )
-
-
 class MatchedModelsOracle:
     """The paper's prediction: matched models lose the same traffic.
 
@@ -405,7 +380,7 @@ class MatchedModelsOracle:
             rate_source = ctx.family_source(
                 scenario, family, duration, bin_width, int(seed)
             )
-            topology = matched_single_queue(scenario, rate_source)
+            topology = netsim_single_queue(scenario, rate_source)
             sim = ctx.simulate_network(
                 topology, duration=duration, warmup=warmup, seed=int(seed)
             )

@@ -15,14 +15,18 @@ numerical path and compares:
 * :class:`MarkovEquivalenceOracle` — Section IV's claim that a Markov
   (hyperexponential) model matching the correlation structure predicts
   the same loss, computed with the spectral MMFQ solver;
-* :class:`BatchedSoloOracle` — the v3 stacked multi-task kernel against
-  one-at-a-time solves of the same tasks; the batched path promises
-  bit-identical results, so the comparison is exact equality, not a
-  tolerance;
-* :class:`NetSimSolverOracle` — the solver bracket against confidence
-  bands from the *network* simulator (:mod:`repro.netsim`) run on the
-  scenario's one-queue topology: a completely independent event-driven
-  code path that must reproduce the same queue.
+* :class:`BatchedSoloOracle` — a batch solved in reversed order against
+  the same tasks solved one at a time: both legs run the solver's one
+  block loop, so this checks that results depend on neither stack width
+  nor order — exact equality, not a tolerance;
+* :class:`NetSimSolverOracle` — the *network* simulator
+  (:mod:`repro.netsim`) on the scenario's one-queue topology against the
+  Eq. 9 recursion of :func:`~repro.queueing.fluid_sim.simulate_source_queue`,
+  exactly, on one shared sampled path.
+
+:class:`MonteCarloOracle` is the one statistical Monte Carlo oracle: the
+netsim check ties the network simulator to the same recursion exactly,
+so the solver needs judging against simulation only once.
 """
 
 from __future__ import annotations
@@ -106,15 +110,17 @@ class SpectralDirectOracle:
 
 
 class BatchedSoloOracle:
-    """The stacked kernel must reproduce per-task solves *bit for bit*.
+    """A batch must reproduce one-at-a-time solves *bit for bit*.
 
     Builds a small shape-homogeneous batch — the scenario's task plus
     buffer-scaled siblings sharing its solver configuration — solves it
-    through the batched hook, solves every member solo through the
-    per-task hook, and requires exact equality of every result field.
-    The batched kernel's contract is bit-identity (stacked real FFTs
-    transform rows independently), so any nonzero difference is a bug,
-    not round-off; the FFT threshold is forced to zero so the stacked
+    in reversed order through the batched hook, solves every member alone
+    through the (cached) solve hook, and requires exact equality of every
+    result field.  Both legs run the solver's one block loop, at stack
+    width K and at width 1, so the check proves that a result depends on
+    neither the width of its stack nor its position in it (stacked real
+    FFTs transform rows independently): any nonzero difference is a bug,
+    not round-off.  The FFT threshold is forced to zero so the stacked
     spectral path genuinely engages at fuzz-sized grids.
     """
 
@@ -157,7 +163,7 @@ class BatchedSoloOracle:
             )
             for buffer in buffers
         ]
-        batched = ctx.solve_batch(tasks)
+        batched = ctx.solve_batch(tasks[::-1])[::-1]
         if len(batched) != len(tasks):
             return CheckOutcome.fail(
                 self.name,
@@ -176,8 +182,8 @@ class BatchedSoloOracle:
             if not exact:
                 return CheckOutcome.fail(
                     self.name,
-                    "batched and solo solves differ (the stacked kernel "
-                    "promises bit-identity)",
+                    "batched and solo solves differ (results must not depend "
+                    "on stack width or order)",
                     member=float(position),
                     normalized_buffer=buffers[position],
                     batched_lower=from_batch.lower,
@@ -338,17 +344,23 @@ class MonteCarloOracle:
 
 
 class NetSimSolverOracle:
-    """The network simulator must agree with the solver on one queue.
+    """The network simulator must replay the Eq. 9 recursion exactly.
 
-    Builds the scenario's queue as a one-node :mod:`repro.netsim`
-    topology (:func:`~repro.verify.scenario.netsim_single_queue`), runs
-    ``batches`` independent seeded replications through the
-    ``simulate_network`` hook, forms the batch-mean 99 % confidence band
-    of the observed loss rate and requires it to overlap the solver's
-    ``[lower - slack, upper + slack]`` bracket.  The simulator clips the
-    *same* fluid recursion continuously in time, so beyond Monte Carlo
-    noise the two paths measure one quantity; cases whose loss is too
-    small to resolve by simulation are skipped.
+    Samples one path of ``intervals`` ``(T_n, lambda_n)`` pairs from the
+    scenario's source, feeds it as a
+    :class:`~repro.netsim.sources.SegmentSource` to the scenario's
+    one-node topology (:func:`~repro.verify.scenario.netsim_single_queue`)
+    through the ``simulate_network`` hook, and runs
+    :func:`~repro.queueing.fluid_sim.simulate_source_queue` with an rng
+    built from the same seed, which draws the same path.  Within one
+    interval the drift sign is constant, so clipping continuously in time
+    (netsim) loses exactly what clipping once per interval (Eq. 9) loses:
+    ``loss_rate`` and ``arrived_work`` must agree to ``rel_tol``, with an
+    absolute floor on ``loss_rate`` for paths that lose nothing.
+
+    The check makes no solve and has no confidence band: the recursion
+    the solver brackets is judged against the solver by
+    :class:`MonteCarloOracle`, the one statistical Monte Carlo oracle.
     """
 
     name = "netsim_vs_solver"
@@ -356,63 +368,56 @@ class NetSimSolverOracle:
     expensive = True
 
     def __init__(
-        self,
-        batches: int = 5,
-        horizon_epochs: int = 2500,
-        warmup_epochs: int = 500,
-        z_score: float = 2.58,
-        min_loss: float = 1e-4,
-        slack: float = 0.25,
+        self, intervals: int = 3000, rel_tol: float = 1e-9, loss_floor: float = 1e-12
     ) -> None:
-        self.batches = batches
-        self.horizon_epochs = horizon_epochs
-        self.warmup_epochs = warmup_epochs
-        self.z_score = z_score
-        self.min_loss = min_loss
-        self.slack = slack
+        self.intervals = intervals
+        self.rel_tol = rel_tol
+        self.loss_floor = loss_floor
 
     def applies(self, scenario: Scenario) -> bool:
         return _has_loss_path(scenario)
 
     def run(self, scenario: Scenario, ctx: CheckContext) -> CheckOutcome:
-        result = ctx.solve_scenario(scenario)
-        if result.upper < self.min_loss:
-            return CheckOutcome.skip(
-                self.name, f"loss below netsim resolution ({result.upper:.2e})"
-            )
-        topology = netsim_single_queue(scenario)
-        mean_epoch = scenario.source.mean_interval
-        duration = self.horizon_epochs * mean_epoch
-        warmup = self.warmup_epochs * mean_epoch
-        seeds = ctx.rng(scenario, salt=3).integers(0, 1 << 62, size=self.batches)
-        losses = np.array([
-            ctx.simulate_network(
-                topology, duration=duration, warmup=warmup, seed=int(seed)
-            ).node_stats["queue"].loss_rate
-            for seed in seeds
-        ])
-        mean = float(losses.mean())
-        half_width = float(
-            self.z_score * losses.std(ddof=1) / math.sqrt(self.batches)
+        from repro.netsim import SegmentSource
+        from repro.queueing.fluid_sim import simulate_source_queue
+
+        seed = int(ctx.rng(scenario, salt=3).integers(0, 1 << 62))
+        path = scenario.source.sample_path(self.intervals, np.random.default_rng(seed))
+        segments = SegmentSource(
+            tuple(path.durations.tolist()), tuple(path.rates.tolist())
         )
-        band_low = mean - half_width
-        band_high = mean + half_width
-        lo = result.lower * (1.0 - self.slack) - self.min_loss
-        hi = result.upper * (1.0 + self.slack) + self.min_loss
-        if band_high < lo or band_low > hi:
+        simulated = ctx.simulate_network(
+            netsim_single_queue(scenario, segments),
+            duration=segments.total_time,
+            warmup=0.0,
+            seed=seed,
+        ).node_stats["queue"]
+        service_rate = scenario.source.mean_rate / scenario.utilization
+        reference = simulate_source_queue(
+            scenario.source,
+            service_rate,
+            scenario.normalized_buffer * service_rate,
+            intervals=self.intervals,
+            rng=np.random.default_rng(seed),
+        )
+        loss_gap = abs(simulated.loss_rate - reference.loss_rate)
+        work_gap = abs(simulated.arrived_work - reference.arrived_work)
+        if loss_gap > max(
+            self.rel_tol * abs(reference.loss_rate), self.loss_floor
+        ) or work_gap > self.rel_tol * abs(reference.arrived_work):
             return CheckOutcome.fail(
                 self.name,
-                "network-simulator confidence band misses the solver bracket",
-                netsim_mean=mean,
-                netsim_half_width=half_width,
-                solver_lower=result.lower,
-                solver_upper=result.upper,
+                "network simulator departs from the Eq. 9 recursion on a shared path",
+                netsim_loss=simulated.loss_rate,
+                recursion_loss=reference.loss_rate,
+                netsim_work=simulated.arrived_work,
+                recursion_work=reference.arrived_work,
             )
         return CheckOutcome.ok(
             self.name,
-            netsim_mean=mean,
-            solver_lower=result.lower,
-            solver_upper=result.upper,
+            loss_rate=reference.loss_rate,
+            loss_gap=loss_gap,
+            work_gap=work_gap,
         )
 
 

@@ -157,18 +157,19 @@ class Scenario:
         )
 
 
-def netsim_single_queue(scenario: Scenario):
+def netsim_single_queue(scenario: Scenario, rate_source):
     """The scenario's queue as a one-node ``repro.netsim`` topology.
 
-    A single :class:`~repro.netsim.nodes.QueueNode` fed by a
-    :class:`~repro.netsim.sources.RenewalSource` over the scenario's
-    source is *exactly* the model queue of Eq. 9 (continuous clipping
-    equals once-per-interval clipping when the drift sign is constant
-    within an interval), so the network simulator and the spectral
-    solver must agree on it — the property the
-    :class:`~repro.verify.oracles.NetSimSolverOracle` checks.
+    One :class:`~repro.netsim.nodes.QueueNode` at the scenario's service
+    rate and buffer, fed by ``rate_source`` and drained into a sink.  Fed
+    a :class:`~repro.netsim.sources.SegmentSource` over a sampled path of
+    the scenario's source, it is *exactly* the model queue of Eq. 9
+    (continuous clipping equals once-per-interval clipping when the drift
+    sign is constant within an interval) — the identity
+    :class:`~repro.verify.oracles.NetSimSolverOracle` checks.  The
+    matched-model comparison pushes every other family through it too.
     """
-    from repro.netsim import Flow, QueueNode, RenewalSource, SinkNode, Topology
+    from repro.netsim import Flow, QueueNode, SinkNode, Topology
 
     service_rate = scenario.source.mean_rate / scenario.utilization
     return Topology(
@@ -181,9 +182,7 @@ def netsim_single_queue(scenario: Scenario):
             SinkNode("sink"),
         ),
         links=(("queue", "sink"),),
-        flows=(
-            Flow("flow", RenewalSource(scenario.source), route=("queue", "sink")),
-        ),
+        flows=(Flow("flow", rate_source, route=("queue", "sink")),),
     )
 
 

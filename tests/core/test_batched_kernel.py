@@ -1,22 +1,32 @@
 """Batched multi-task kernel (SOLVER_VERSION = 3): bit-identity and stats.
 
 ``batch_loss_rates`` advances same-shape solves through one stacked
-``(tasks, 2, L)`` rfft/irfft pair per step.  Real FFTs along the last
-axis transform rows independently, so the batched path promises — and
-these tests enforce — *bit-for-bit* equality with one-at-a-time solves
-across every exit path: gap convergence, negligible-loss exit, stall
-plus refinement at divergent levels, and iteration-budget exhaustion.
+``(tasks, 2, L)`` rfft/irfft pair per step, and a solo
+:meth:`FluidQueue.loss_rate` is the same driver at width one.  The
+batch-versus-solo tests therefore compare stack width K against width 1:
+results must not depend on what shares a stack, across every exit path —
+gap convergence, negligible-loss exit, stall plus refinement at
+divergent levels, and iteration-budget exhaustion.  The independent
+reference is the per-chain kernel (:meth:`_BoundedChains.iterate` with
+its own :class:`_SpectralPlan`): the stacked group must reproduce its
+states bit for bit.  ``stationary_occupancy`` output is pinned by digests
+taken before the solo loops were folded into the driver.
 """
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core.marginal import DiscreteMarginal
 from repro.core.solver import (
     FluidQueue,
     SolverConfig,
+    _BatchMember,
     _fft_stack_width,
+    _StackedGroup,
     batch_loss_rates,
 )
 from repro.core.source import CutoffFluidSource
@@ -146,6 +156,61 @@ class TestBatchSemantics:
             assert (
                 from_batch.stats.steps_per_level == from_solo.stats.steps_per_level
             )
+
+
+class TestStackedKernelReference:
+    """The stacked group against the per-chain kernel, state for state."""
+
+    @pytest.mark.parametrize("bins", [64, 256])
+    @pytest.mark.parametrize("width", ["one", "three", "past_sub_chunk"])
+    def test_stacked_group_matches_per_chain_kernel(self, bins, width):
+        count = {"one": 1, "three": 3, "past_sub_chunk": _fft_stack_width(bins) + 2}[width]
+        queues = _queues(np.linspace(0.1, 2.0, count))
+        stacked = [queue._chains(bins, True, 0) for queue in queues]
+        reference = [queue._chains(bins, True, 0) for queue in queues]
+        group = _StackedGroup(
+            [_BatchMember(index, chains) for index, chains in enumerate(stacked)]
+        )
+        for steps in (16, 16, 7):
+            group.iterate(steps)
+            for chains in reference:
+                chains.iterate(steps)  # the per-chain _SpectralPlan kernel
+        for ours, theirs in zip(stacked, reference):
+            assert np.array_equal(ours.lower_pmf, theirs.lower_pmf)
+            assert np.array_equal(ours.upper_pmf, theirs.upper_pmf)
+            assert ours.counters.transforms == theirs.counters.transforms
+
+
+def _occupancy_digest(bounds) -> str:
+    digest = hashlib.sha256()
+    for array in (bounds.grid, bounds.lower_pmf, bounds.upper_pmf):
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    digest.update(str(bounds.iterations).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestStationaryOccupancyPin:
+    """Bit patterns of the total-variation rule, from the pre-driver loop."""
+
+    @pytest.mark.parametrize(
+        "initial_bins,relative_gap,tolerance,utilization,buffer,bins,expected",
+        [
+            # initial_bins=512 as in examples/delay_percentiles.py.
+            (512, 0.05, 0.05, 0.8, 2.0, 512, "11bd98e6ecc72424"),
+            # Starts on the direct path and refines past 256 bins.
+            (32, 0.2, 0.01, 0.85, 0.5, 512, "3a1db5d5230246d3"),
+        ],
+    )
+    def test_digest_is_unchanged(
+        self, initial_bins, relative_gap, tolerance, utilization, buffer, bins, expected
+    ):
+        queue = FluidQueue.from_normalized(
+            source=_source(), utilization=utilization, normalized_buffer=buffer
+        )
+        config = SolverConfig(initial_bins=initial_bins, relative_gap=relative_gap)
+        bounds = queue.stationary_occupancy(config, distribution_tolerance=tolerance)
+        assert bounds.grid.size - 1 == bins
+        assert _occupancy_digest(bounds) == expected
 
 
 class TestStackWidthPolicy:

@@ -1,4 +1,9 @@
-"""Tests for the serial and process-pool execution backends."""
+"""Tests for the serial and process-pool execution backends.
+
+Both speak one contract, :meth:`run_batches`: each batch of
+``(index, task)`` pairs comes back as one ``[(index, result, seconds)]``
+list.  The fixture's batches of one keep the pool fanning out.
+"""
 
 from __future__ import annotations
 
@@ -21,14 +26,20 @@ def indexed_tasks(small_source):
     ]
 
 
+def _triples(backend, indexed_tasks):
+    """Flatten ``run_batches`` over one-task batches into result triples."""
+    batches = [[pair] for pair in indexed_tasks]
+    return [triple for batch in backend.run_batches(batches) for triple in batch]
+
+
 class TestSerialBackend:
     def test_runs_in_task_order(self, indexed_tasks):
-        triples = list(SerialBackend().run(indexed_tasks))
+        triples = _triples(SerialBackend(), indexed_tasks)
         assert [index for index, _, _ in triples] == [0, 1, 2]
         assert all(seconds >= 0.0 for _, _, seconds in triples)
 
     def test_matches_direct_solves(self, indexed_tasks):
-        triples = list(SerialBackend().run(indexed_tasks))
+        triples = _triples(SerialBackend(), indexed_tasks)
         for (index, result, _), (_, task) in zip(triples, indexed_tasks):
             direct = task.run()
             assert result.lower == direct.lower
@@ -37,15 +48,13 @@ class TestSerialBackend:
 
 class TestProcessPoolBackend:
     def test_single_job_falls_back_to_serial(self, indexed_tasks):
-        triples = list(ProcessPoolBackend(jobs=1).run(indexed_tasks))
+        triples = _triples(ProcessPoolBackend(jobs=1), indexed_tasks)
         assert [index for index, _, _ in triples] == [0, 1, 2]
 
     def test_pool_results_match_serial_bitwise(self, indexed_tasks):
-        serial = {i: r for i, r, _ in SerialBackend().run(indexed_tasks)}
-        pooled = {
-            i: r
-            for i, r, _ in ProcessPoolBackend(jobs=2, chunk_size=1).run(indexed_tasks)
-        }
+        serial = {i: r for i, r, _ in _triples(SerialBackend(), indexed_tasks)}
+        with ProcessPoolBackend(jobs=2) as backend:
+            pooled = {i: r for i, r, _ in _triples(backend, indexed_tasks)}
         assert set(pooled) == set(serial)
         for index, result in pooled.items():
             assert result.lower == serial[index].lower
@@ -53,31 +62,23 @@ class TestProcessPoolBackend:
             assert result.iterations == serial[index].iterations
 
     def test_empty_task_list(self):
-        assert list(ProcessPoolBackend(jobs=2).run([])) == []
-
-    def test_chunking_covers_every_task(self, indexed_tasks):
-        backend = ProcessPoolBackend(jobs=2)
-        chunks = backend._chunks(indexed_tasks)
-        flattened = [pair for chunk in chunks for pair in chunk]
-        assert flattened == list(indexed_tasks)
+        assert list(ProcessPoolBackend(jobs=2).run_batches([])) == []
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="jobs"):
             ProcessPoolBackend(jobs=-2)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ProcessPoolBackend(jobs=2, chunk_size=0)
 
 
 class TestWarmPool:
-    """The executor is created once and survives across run() calls."""
+    """The executor is created once and survives across run_batches() calls."""
 
     def test_pool_persists_across_runs(self, indexed_tasks):
-        with ProcessPoolBackend(jobs=2, chunk_size=1) as backend:
+        with ProcessPoolBackend(jobs=2) as backend:
             assert backend._pool is None  # lazy: nothing until first run
-            list(backend.run(indexed_tasks))
+            _triples(backend, indexed_tasks)
             pool = backend._pool
             assert pool is not None
-            list(backend.run(indexed_tasks))
+            _triples(backend, indexed_tasks)
             assert backend._pool is pool  # same warm executor, no restart
         assert backend._pool is None  # context exit shuts it down
 
@@ -90,16 +91,16 @@ class TestWarmPool:
         assert backend._pool is None
 
     def test_run_after_close_recreates_the_pool(self, indexed_tasks):
-        backend = ProcessPoolBackend(jobs=2, chunk_size=1)
-        first = {i: r.lower for i, r, _ in backend.run(indexed_tasks)}
+        backend = ProcessPoolBackend(jobs=2)
+        first = {i: r.lower for i, r, _ in _triples(backend, indexed_tasks)}
         backend.close()
-        second = {i: r.lower for i, r, _ in backend.run(indexed_tasks)}
+        second = {i: r.lower for i, r, _ in _triples(backend, indexed_tasks)}
         backend.close()
         assert first == second
 
     def test_serial_fallback_does_not_warm_the_pool(self, indexed_tasks):
         backend = ProcessPoolBackend(jobs=1)
-        list(backend.run(indexed_tasks))
+        _triples(backend, indexed_tasks)
         assert backend._pool is None
 
     def test_prefers_fork_where_available(self):

@@ -159,18 +159,6 @@ class TestEngineBatching:
         with pytest.raises(ValueError, match="max_batch"):
             SweepEngine(max_batch=0)
 
-    def test_legacy_backend_without_run_batches_still_works(self, small_source):
-        class LegacyOnly:
-            jobs = 1
-
-            def run(self, tasks):
-                for index, task in tasks:
-                    yield index, task.run(), 0.0
-
-        tasks = _tasks(small_source)
-        results = SweepEngine(backend=LegacyOnly()).run_tasks(tasks)
-        assert results == [task.run() for task in tasks]
-
     def test_telemetry_separates_batched_and_solo_cells(self, small_source):
         tasks = _tasks(small_source, config=SPECTRAL) + _tasks(
             small_source, buffers=[0.3], config=FAST

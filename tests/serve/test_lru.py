@@ -84,8 +84,8 @@ class TestTierSizing:
         engine.cache = SolveCache(tmp_path, max_entries=17, max_bytes=1 << 16)
         service = QueryService(engine)
         try:
-            assert service.lru.max_entries == 17
-            assert service.lru.max_bytes == 1 << 16
+            assert service.core.lru.max_entries == 17
+            assert service.core.lru.max_bytes == 1 << 16
         finally:
             service.close()
 
@@ -96,8 +96,8 @@ class TestTierSizing:
         engine.cache = SolveCache(tmp_path, max_entries=17)
         service = QueryService(engine, lru_entries=5, lru_bytes=1 << 10)
         try:
-            assert service.lru.max_entries == 5
-            assert service.lru.max_bytes == 1 << 10
+            assert service.core.lru.max_entries == 5
+            assert service.core.lru.max_bytes == 1 << 10
         finally:
             service.close()
 
@@ -106,8 +106,8 @@ class TestTierSizing:
 
         service = QueryService(GateEngine())
         try:
-            assert service.lru.max_entries == DEFAULT_LRU_ENTRIES
-            assert service.lru.max_bytes is None
+            assert service.core.lru.max_entries == DEFAULT_LRU_ENTRIES
+            assert service.core.lru.max_bytes is None
         finally:
             service.close()
 
@@ -130,7 +130,7 @@ class TestTieredService:
         try:
             for thread in threads:
                 thread.start()
-            _poll(lambda: service.singleflight.hits == 5, message="5 followers attached")
+            _poll(lambda: service.core.singleflight.hits == 5, message="5 followers attached")
             gate.set()
             for thread in threads:
                 thread.join(timeout=10)
@@ -141,12 +141,12 @@ class TestTieredService:
             assert sum(1 for r in responses if r["tier"] == "flight") == 5
             # Later identical requests replay from the memory tier without
             # opening a new singleflight window.
-            leaders_before = service.singleflight.leaders
+            leaders_before = service.core.singleflight.leaders
             for _ in range(3):
                 assert service.query(request)["tier"] == "memory"
             assert engine.total_tasks == 1
-            assert service.singleflight.leaders == leaders_before
-            assert service.lru.hits == 3
+            assert service.core.singleflight.leaders == leaders_before
+            assert service.core.lru.hits == 3
         finally:
             gate.set()
             service.close()
@@ -161,7 +161,7 @@ class TestTieredService:
             service.query(hot)
             service.query(_loss(buffer=0.31))
             service.query(_loss(buffer=0.32))  # evicts the 0.30 entry
-            assert service.lru.evictions == 1
+            assert service.core.lru.evictions == 1
             response = service.query(hot)
             assert response["tier"] == "engine"  # memory miss → solved again
             assert engine.total_tasks == 4
@@ -179,13 +179,13 @@ class TestTieredService:
             with pytest.raises(RuntimeError, match="kernel exploded"):
                 service.query(_loss())
             # The window closed: nothing in flight, nothing cached.
-            assert service.singleflight.inflight == 0
-            assert len(service.lru) == 0
-            assert service.errors == 1
+            assert service.core.singleflight.inflight == 0
+            assert len(service.core.lru) == 0
+            assert service.core.errors == 1
             # The same fingerprint can be retried and leads a new window.
             with pytest.raises(RuntimeError, match="kernel exploded"):
                 service.query(_loss())
-            assert service.singleflight.leaders == 2
+            assert service.core.singleflight.leaders == 2
         finally:
             service.close()
 
@@ -205,6 +205,6 @@ class TestTieredService:
                 service.query(bad)
             except Exception:
                 pass  # outcome depends on the solver; cleanliness must not
-            assert service.singleflight.inflight == 0
+            assert service.core.singleflight.inflight == 0
         finally:
             service.close()

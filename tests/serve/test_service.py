@@ -93,7 +93,7 @@ class TestCoalescingUnderContention:
             for thread in threads:
                 thread.start()
             # All eight are attached before the solve is allowed to finish.
-            _poll(lambda: service.singleflight.hits == 7, message="7 singleflight hits")
+            _poll(lambda: service.core.singleflight.hits == 7, message="7 singleflight hits")
             gate.set()
             for thread in threads:
                 thread.join(timeout=10)
@@ -118,7 +118,7 @@ class TestCoalescingUnderContention:
         finally:
             service.close()
         assert engine.total_tasks == 3
-        assert service.singleflight.hits == 0
+        assert service.core.singleflight.hits == 0
 
 
 class TestAdmissionControl:
@@ -136,12 +136,12 @@ class TestAdmissionControl:
             threads.append(threading.Thread(target=service.query, args=(first,)))
             threads[-1].start()
             # Dispatcher takes the first item (blocks on the gate), queue empties.
-            _poll(lambda: service.batcher.depth == 0 and service.batcher.batches >= 0
-                  and service.accepted == 1, message="first request picked up")
-            _poll(lambda: service.batcher.depth == 0, message="queue drained to dispatcher")
+            _poll(lambda: service.core.batcher.depth == 0 and service.core.batcher.batches >= 0
+                  and service.core.accepted == 1, message="first request picked up")
+            _poll(lambda: service.core.batcher.depth == 0, message="queue drained to dispatcher")
             threads.append(threading.Thread(target=service.query, args=(second,)))
             threads[-1].start()
-            _poll(lambda: service.batcher.depth == 1, message="second request queued")
+            _poll(lambda: service.core.batcher.depth == 1, message="second request queued")
 
             with pytest.raises(ServiceOverloadedError) as excinfo:
                 service.query(shed)
@@ -165,7 +165,7 @@ class TestAdmissionControl:
             with pytest.raises(QueryTimeoutError) as excinfo:
                 service.query(_loss(timeout_s=0.05))
             assert excinfo.value.status == 504
-            assert service.timeouts == 1
+            assert service.core.timeouts == 1
         finally:
             gate.set()
             service.close()
@@ -188,7 +188,7 @@ class TestDrain:
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(6)]
         for thread in threads:
             thread.start()
-        _poll(lambda: service.accepted == 6, message="all requests accepted")
+        _poll(lambda: service.core.accepted == 6, message="all requests accepted")
         service.close(drain=True)
         for thread in threads:
             thread.join(timeout=10)
@@ -347,7 +347,7 @@ class TestUnconvergedReplies:
         fresh = self._service(tmp_path)  # new memory tier, same disk cache
         try:
             from_disk = fresh.query(request)
-            telemetry = fresh.engine.telemetry
+            telemetry = fresh.core.engine.telemetry
         finally:
             fresh.close()
         assert from_disk["tier"] == "engine"

@@ -20,7 +20,7 @@ from repro.core.marginal import DiscreteMarginal
 from repro.core.results import LossRateResult
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
-from repro.exec.task import SolveTask
+from repro.exec.task import SolveTask, solve_task_batch
 from repro.verify import (
     BatchedSoloOracle,
     BoundOrderingOracle,
@@ -146,26 +146,50 @@ def test_batched_solo_oracle_fires_on_short_batch(lossy_scenario):
     assert_fires(check, lossy_scenario, ctx)
 
 
-def test_netsim_oracle_fires_on_biased_solver(lossy_scenario):
-    check = NetSimSolverOracle()
-    assert_honest_pass(check, lossy_scenario)
-    ctx = CheckContext(solve=lying_solve(lambda task: True, scaled(50.0)))
-    assert_fires(check, lossy_scenario, ctx)
+def test_batched_solo_oracle_fires_on_order_dependent_batch(lossy_scenario):
+    # A batch path that stacks members by buffer size and forgets to
+    # restore input order: honest numbers, assigned to the wrong tasks.
+    # Only a batch handed over out of buffer order can expose it.
+    def sorted_batch(tasks):
+        return solve_task_batch(sorted(tasks, key=lambda task: task.normalized_buffer))
+
+    check = BatchedSoloOracle()
+    assert_fires(check, lossy_scenario, CheckContext(solve_batch=sorted_batch))
 
 
-def test_netsim_oracle_fires_on_lying_simulator(lossy_scenario):
-    # Inject the bug on the *simulator* side of the differential pair: a
-    # network simulator that over-reports loss 100x must also trip it.
+def _lying_queue_stats(**fields: Callable[[float], float]):
+    """A network simulator that misreports the given queue-stat fields."""
     from repro.netsim import simulate
 
     def lying_sim(topology, duration, warmup, seed):
         result = simulate(topology, duration=duration, warmup=warmup, seed=seed)
         queue = result.node_stats["queue"]
-        bad = replace(queue, loss_rate=queue.loss_rate * 100.0 + 1.0)
+        bad = replace(
+            queue, **{name: lie(getattr(queue, name)) for name, lie in fields.items()}
+        )
         return replace(result, node_stats={**result.node_stats, "queue": bad})
 
+    return lying_sim
+
+
+def test_netsim_oracle_fires_on_lying_simulator(lossy_scenario):
+    # A network simulator that over-reports loss 100x.
     check = NetSimSolverOracle()
-    assert_fires(check, lossy_scenario, CheckContext(simulate_network=lying_sim))
+    assert_honest_pass(check, lossy_scenario)
+    ctx = CheckContext(
+        simulate_network=_lying_queue_stats(loss_rate=lambda loss: loss * 100.0 + 1.0)
+    )
+    assert_fires(check, lossy_scenario, ctx)
+
+
+def test_netsim_oracle_fires_on_misreported_arrivals(lossy_scenario):
+    # The check is exact, so a simulator that loses track of one part in
+    # a million of the arriving work must trip it, loss rate untouched.
+    check = NetSimSolverOracle()
+    ctx = CheckContext(
+        simulate_network=_lying_queue_stats(arrived_work=lambda work: work * (1.0 + 1e-6))
+    )
+    assert_fires(check, lossy_scenario, ctx)
 
 
 def test_markov_oracle_fires_on_decade_scale_bias(lossy_scenario):

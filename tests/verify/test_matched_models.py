@@ -32,7 +32,7 @@ from repro.verify import (
     MatchedModelsOracle,
     Scenario,
     ScenarioGenerator,
-    matched_single_queue,
+    netsim_single_queue,
     run_model_comparison,
     sample_family_trace,
 )
@@ -113,7 +113,7 @@ def test_matched_queue_is_the_model_queue(lossy_scenario):
     from repro.netsim import QueueNode, SinkNode, TraceSource
 
     source = TraceSource(rates=(1.0, 2.0), bin_width=0.5)
-    topo = matched_single_queue(lossy_scenario, source)
+    topo = netsim_single_queue(lossy_scenario, source)
     queue, sink = topo.nodes
     assert isinstance(queue, QueueNode) and isinstance(sink, SinkNode)
     service = lossy_scenario.source.mean_rate / lossy_scenario.utilization
@@ -121,6 +121,7 @@ def test_matched_queue_is_the_model_queue(lossy_scenario):
     assert queue.buffer == pytest.approx(lossy_scenario.normalized_buffer * service)
     (flow,) = topo.flows
     assert flow.source is source
+    assert flow.route == ("queue", "sink")
 
 
 def test_oracle_domain_excludes_renewal_and_lossless(lossy_scenario):
