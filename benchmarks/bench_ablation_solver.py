@@ -10,8 +10,8 @@ Two of the paper's implementation notes are measurable:
 
 A third ablation sweeps the FFT/direct crossover (the
 ``SolverConfig.fft_threshold_bins`` knob): per-step spectral vs direct
-cost at each bin count, locating the break-even that justifies the
-configured default.
+cost at each bin count, for one chain pair and per member of an 8-wide
+stacked group, locating the break-even behind the configured default.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from _common import persist, run_once
 from repro.core.marginal import DiscreteMarginal
-from repro.core.solver import SolverConfig, _BoundedChains
+from repro.core.solver import SolverConfig, _BatchMember, _BoundedChains, _StackedGroup
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.workload import WorkloadLaw
@@ -81,13 +81,18 @@ def test_ablation_fft_threshold(benchmark):
 
     The v1 kernel (per-step ``fftconvolve``) paid plan setup every step
     and only won above ~512 bins; the cached-plan spectral kernel
-    amortizes that, so the measured break-even sits near the
-    :data:`repro.core.solver.DEFAULT_FFT_THRESHOLD_BINS` default.
+    amortizes that, so the measured break-even for one chain pair sits
+    near the :data:`repro.core.solver.DEFAULT_FFT_THRESHOLD_BINS` default.
+    An 8-wide stacked group shares the spectral kernel's per-call cost
+    across its members while the direct path still runs one
+    ``np.convolve`` per chain, so the stacked crossover sits lower; the
+    default stays put because moving it changes float bits.
     """
     from repro.core.solver import DEFAULT_FFT_THRESHOLD_BINS
 
     sizes = np.array([32, 64, 128, 256, 512, 1024])
     steps = 60
+    width = 8
 
     def per_step(bins: int, use_fft: bool) -> float:
         chains = _chains(int(bins), use_fft)
@@ -96,15 +101,32 @@ def test_ablation_fft_threshold(benchmark):
         chains.iterate(steps)
         return (time.perf_counter() - start) / steps
 
+    def per_member_step(bins: int, use_fft: bool) -> float:
+        group = _StackedGroup(
+            [_BatchMember(index, _chains(int(bins), use_fft)) for index in range(width)]
+        )
+        group.iterate(4)
+        start = time.perf_counter()
+        group.iterate(steps)
+        return (time.perf_counter() - start) / (steps * width)
+
     def run():
         spectral = np.array([per_step(m, True) for m in sizes])
         direct = np.array([per_step(m, False) for m in sizes])
-        return spectral, direct
+        stacked_spectral = np.array([per_member_step(m, True) for m in sizes])
+        stacked_direct = np.array([per_member_step(m, False) for m in sizes])
+        return spectral, direct, stacked_spectral, stacked_direct
 
-    spectral, direct = run_once(benchmark, run)
+    spectral, direct, stacked_spectral, stacked_direct = run_once(benchmark, run)
     ratios = direct / spectral
-    crossed = sizes[ratios >= 1.0]
-    crossover = int(crossed[0]) if crossed.size else int(sizes[-1])
+    stacked_ratios = stacked_direct / stacked_spectral
+
+    def crossover(row: np.ndarray) -> str:
+        crossed = sizes[row >= 1.0]
+        if not crossed.size:
+            return f"> {sizes[-1]}"
+        return f"<= {crossed[0]}" if crossed[0] == sizes[0] else f"~{crossed[0]}"
+
     from repro.experiments.reporting import format_series
 
     text = format_series(
@@ -114,12 +136,18 @@ def test_ablation_fft_threshold(benchmark):
             "spectral_s_per_step": spectral,
             "direct_s_per_step": direct,
             "direct_over_spectral": ratios,
+            f"w{width}_spectral_s": stacked_spectral,
+            f"w{width}_direct_s": stacked_direct,
+            f"w{width}_direct_over_spectral": stacked_ratios,
         },
         "Ablation — FFT/direct crossover (SolverConfig.fft_threshold_bins)",
     )
     text += (
-        f"\n\nmeasured crossover ~{crossover} bins; configured default "
-        f"fft_threshold_bins = {DEFAULT_FFT_THRESHOLD_BINS}"
+        f"\n\nmeasured crossover {crossover(ratios)} bins for one chain pair "
+        f"(per-chain kernel) and {crossover(stacked_ratios)} bins per member of "
+        f"one {width}-wide stacked group (w{width}_* columns, seconds per "
+        "member-step); "
+        f"configured default fft_threshold_bins = {DEFAULT_FFT_THRESHOLD_BINS}"
     )
     persist("ablation_fft_threshold", text)
     # The spectral kernel must clearly win by 4x the configured threshold;

@@ -21,6 +21,9 @@ workers warm across sweeps, so repeat sweeps skip start-up cost entirely.
 The same report times a 64-task shape-homogeneous sweep through the
 batch planner: one stacked kernel call per level instead of 64 solo
 solves, which is the single-process speedup the serving layer banks on.
+Two CI smokes race batched against per-task solves: one on the spectral
+path (refining to 2048 bins), one pinned to the direct path at 128 bins,
+where a stack shares one boundary fold per step.
 """
 
 from __future__ import annotations
@@ -198,34 +201,56 @@ BATCH_CONFIG = SolverConfig(
     initial_bins=64, max_bins=2048, relative_gap=0.2, max_iterations=20_000,
     use_fft=True, fft_threshold_bins=0,
 )
+BATCH_BUFFERS = (0.05, 2.0)
 # Reference-host measurement: 4.5x at 64 tasks; 3.0 leaves noise headroom.
 BATCH_MIN_SPEEDUP = 3.0
 # CI gate floor on the 16-task smoke grid (measured >3x; 1.5 tolerates
 # heavily shared runners).
 BATCH_SMOKE_MIN_SPEEDUP = 1.5
+# The direct-path smoke: 16 tasks pinned to 128 bins, below the default
+# FFT threshold, each running exactly max_iterations steps: the gap and
+# negligible-loss exits cannot fire, max_bins forbids refinement, and on
+# buffers of 1.5 s and up no bound stops moving (a stall) within 512
+# steps.  Every stacked step is then 16 members wide.
+DIRECT_BATCH_CONFIG = SolverConfig(
+    initial_bins=128, max_bins=128, relative_gap=1e-12, negligible_loss=0.0,
+    stall_relative_change=1e-300, max_iterations=512,
+)
+DIRECT_BATCH_BUFFERS = (1.5, 4.0)
+# Measured 1.28-1.64x over eleven interleaved runs on a 2-vCPU host, where
+# the kernel that stepped direct members one at a time read 0.98-1.02x.
+DIRECT_BATCH_SMOKE_MIN_SPEEDUP = 1.15
 
 
-def _batch_tasks(count: int) -> list[SolveTask]:
+def _batch_tasks(
+    count: int,
+    config: SolverConfig = BATCH_CONFIG,
+    buffers: tuple[float, float] = BATCH_BUFFERS,
+) -> list[SolveTask]:
     source = _sweep_source()
-    buffers = np.linspace(0.05, 2.0, count)
     return [
         SolveTask(
             source=source,
             utilization=paperconfig.MTV_UTILIZATION,
             normalized_buffer=float(buffer),
-            config=BATCH_CONFIG,
+            config=config,
         )
-        for buffer in buffers
+        for buffer in np.linspace(*buffers, count)
     ]
 
 
-def _timed_batch_sweep(count: int, max_batch: int | None) -> tuple[float, list]:
+def _timed_batch_sweep(
+    count: int,
+    max_batch: int | None,
+    config: SolverConfig = BATCH_CONFIG,
+    buffers: tuple[float, float] = BATCH_BUFFERS,
+) -> tuple[float, list]:
     """Seconds + results for ``count`` homogeneous tasks at one plan width.
 
     ``max_batch=1`` forces every task through the solo per-task path;
     ``None`` lets the planner stack the whole group.
     """
-    tasks = _batch_tasks(count)
+    tasks = _batch_tasks(count, config, buffers)
     engine = SweepEngine(max_batch=max_batch)
     start = time.perf_counter()
     results = engine.run_tasks(tasks)
@@ -360,4 +385,51 @@ def test_perf_batch_smoke():
     assert speedup >= BATCH_SMOKE_MIN_SPEEDUP, (
         f"batched pipeline regressed: {speedup:.2f}x vs required "
         f"{BATCH_SMOKE_MIN_SPEEDUP:.1f}x over per-task solves"
+    )
+
+
+def test_perf_direct_batch_smoke():
+    """CI gate: stacked direct-path solves must beat per-task solves.
+
+    Sixteen tasks stay at 128 bins on the direct path and run 512 steps
+    each, once per plan width, best of five.  Each stacked step still
+    runs one ``np.convolve`` per chain but folds the boundaries of the
+    whole stack at once; below ``DIRECT_BATCH_SMOKE_MIN_SPEEDUP`` that
+    shared fold has regressed into overhead.
+    """
+    best_of = 5
+    smoke_tasks = 16
+    runs: dict[int | None, list[tuple[float, list]]] = {1: [], None: []}
+    # Alternate the two widths so both sample the same host-speed swings.
+    for _ in range(best_of):
+        for max_batch in runs:
+            runs[max_batch].append(
+                _timed_batch_sweep(
+                    smoke_tasks, max_batch, DIRECT_BATCH_CONFIG, DIRECT_BATCH_BUFFERS
+                )
+            )
+    solo_seconds, solo_results = min(runs[1], key=lambda timed: timed[0])
+    batch_seconds, batch_results = min(runs[None], key=lambda timed: timed[0])
+    speedup = solo_seconds / max(batch_seconds, 1e-9)
+    persist(
+        "perf_direct_batch_smoke",
+        format_mapping(
+            {
+                "batch_tasks": float(smoke_tasks),
+                "bins": float(DIRECT_BATCH_CONFIG.max_bins),
+                "steps_per_task": float(DIRECT_BATCH_CONFIG.max_iterations),
+                "per_task_s": solo_seconds,
+                "batched_s": batch_seconds,
+                "speedup": speedup,
+                "required_speedup": DIRECT_BATCH_SMOKE_MIN_SPEEDUP,
+            },
+            "Perf smoke — batched vs per-task solves on the 128-bin direct path",
+        ),
+    )
+    assert batch_results == solo_results
+    steps = DIRECT_BATCH_CONFIG.max_iterations
+    assert all(result.iterations == steps for result in solo_results)
+    assert speedup >= DIRECT_BATCH_SMOKE_MIN_SPEEDUP, (
+        f"direct-path batching regressed: {speedup:.2f}x vs required "
+        f"{DIRECT_BATCH_SMOKE_MIN_SPEEDUP:.2f}x over per-task solves"
     )

@@ -28,6 +28,13 @@ from repro.core.validation import (
 
 __all__ = ["DiscreteMarginal"]
 
+_COUNTED_LEVELS = 8
+"""Most levels :meth:`DiscreteMarginal.sample` places by counting.
+
+Counting takes one pass over the draws per level: on ~10M draws it takes
+0.5x ``Generator.choice``'s time at 2-3 levels and 0.73x at 8, and the
+two cost the same near 13 levels."""
+
 
 @dataclass(frozen=True)
 class DiscreteMarginal:
@@ -172,10 +179,25 @@ class DiscreteMarginal:
         return out if np.ndim(level) else float(out)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` i.i.d. rates."""
+        """Draw ``size`` i.i.d. rates, the same draws as ``rng.choice``.
+
+        ``Generator.choice(rates, size, p=probs)`` draws one uniform per
+        sample and binary-searches the normalized cdf for the first level
+        above it.  With few levels, counting the levels at or below each
+        uniform finds the same index in one vectorized pass per level, so
+        the rates, and the generator state after them, match bit for bit.
+        """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        return rng.choice(self.rates, size=size, p=self.probs)
+        if self.rates.size > _COUNTED_LEVELS:
+            return rng.choice(self.rates, size=size, p=self.probs)
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        uniforms = rng.random(size)
+        index = np.zeros(size, dtype=np.intp)
+        for level in cdf[:-1]:  # no uniform reaches the last level, 1.0
+            index += uniforms >= level
+        return self.rates[index]
 
     # ------------------------------------------------------------------ #
     # the paper's marginal transforms

@@ -35,10 +35,10 @@ class SolverStats:
         recording how many convolution steps ran at each quantization
         level.
     batch_width:
-        Widest multi-task FFT stack this solve ever stepped in (v3
-        batched kernel).  1 means the solve ran solo — either dispatched
-        per task or planned into a batch whose other members could not
-        share its spectral plan.
+        Widest multi-task stack this solve ever stepped in (v3 batched
+        kernel), on the spectral or the direct path.  1 means the solve
+        ran solo — either dispatched per task or planned into a batch
+        whose other members never shared a refinement level with it.
     """
 
     transforms: int

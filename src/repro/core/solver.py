@@ -31,16 +31,20 @@ the same loop under a total-variation stopping rule.  The loop advances
 its members in lockstep blocks; after each block a per-member rule
 decides whether the member retires, keeps stepping, or refines its grid.
 
-The stepping kernel is *spectral*: per refinement level the static
-increment vectors are transformed once, and each step advances every
-chain pair at that level with one stacked ``(K, 2, L)`` rfft/irfft pair
-(:class:`_StackedSpectralPlan`).  Boundary reflection/absorption stays in
-the spatial domain each step, so Eq. 20 semantics — and with them the
-Proposition II.1 bound ordering — are untouched; only float round-off
-differs from the direct path (see ``SOLVER_VERSION``).  The per-chain
-kernel (:meth:`_BoundedChains.iterate` with :class:`_SpectralPlan`)
-remains for the Fig. 2 snapshots and as the reference the stacked
-kernel is tested against.
+Each round, the members at one refinement level step together as one
+stacked group (:class:`_StackedGroup`), whatever their bin count.  At
+and above ``fft_threshold_bins`` the group convolves through a
+*spectral* plan: the static increment vectors are transformed once per
+level, and each step advances every chain pair with one stacked
+``(K, 2, L)`` rfft/irfft pair (:class:`_StackedSpectralPlan`).  Below it,
+a *direct* plan runs one ``np.convolve`` per chain
+(:class:`_StackedDirectPlan`).  Either way the boundary reflection and
+absorption of the whole stack is one spatial fold per step, so Eq. 20
+semantics — and with them the Proposition II.1 bound ordering — are
+untouched; only float round-off differs between the two paths (see
+``SOLVER_VERSION``).  The per-chain kernel (:meth:`_BoundedChains.iterate`
+with :class:`_SpectralPlan`) remains for the Fig. 2 snapshots and as the
+reference the stacked kernel is tested against.
 """
 
 from __future__ import annotations
@@ -85,11 +89,16 @@ re-prove themselves instead of being trusted across the refactor.
 """
 
 DEFAULT_FFT_THRESHOLD_BINS = 256
-"""Measured crossover below which direct ``np.convolve`` beats the
-spectral kernel (see ``benchmarks/results/ablation_fft_threshold.txt``).
-The old per-call ``fftconvolve`` path paid plan/setup cost every step and
-would have needed ~512 bins to win; caching the increment spectrum moves
-the break-even down to ~256."""
+"""Bin count below which levels step through direct ``np.convolve``.
+
+256 is the measured crossover for a stack of one (see
+``benchmarks/results/ablation_fft_threshold.txt``): the old per-call
+``fftconvolve`` path paid plan/setup cost every step and would have
+needed ~512 bins to win, and caching the increment spectrum moved the
+break-even down to ~256.  Wider stacks share the spectral kernel's
+per-call cost, so there the crossover sits lower (the same file's
+width-8 columns).  The default stays 256 because moving it changes
+float bits, and so ``SOLVER_VERSION``."""
 
 FFT_STACK_BUDGET_BINS = 4096
 """Working-set budget for the stacked multi-task FFT (v3 kernel).
@@ -603,6 +612,8 @@ class _StackedSpectralPlan:
     :func:`_fft_stack_width` sub-chunking) is purely a throughput lever.
     """
 
+    step_transforms = 2  # per chain and step: one rfft, one irfft
+
     def __init__(self, chains: Sequence["_BoundedChains"], bins: int) -> None:
         self.bins = bins
         self.conv_length = 3 * bins + 1
@@ -633,6 +644,31 @@ class _StackedSpectralPlan:
         return out
 
 
+class _StackedDirectPlan:
+    """Direct-convolution counterpart of :class:`_StackedSpectralPlan`.
+
+    Below the FFT threshold each chain keeps its own ``np.convolve``, the
+    per-chain kernel's exact arithmetic (a Toeplitz product or a stacked
+    FFT would round differently).  The results land in one preallocated
+    ``(K, 2, 3M+1)`` buffer, so the stack's boundary fold is one pass.
+    """
+
+    transforms = 0  # direct convolution transforms nothing
+    step_transforms = 0
+
+    def __init__(self, chains: Sequence["_BoundedChains"], bins: int) -> None:
+        self.increments = [(chain.w_lower, chain.w_upper) for chain in chains]
+        self._out = np.empty((len(chains), 2, 3 * bins + 1))
+
+    def convolve(self, states: np.ndarray) -> np.ndarray:
+        """Linear convolution of every chain in the stack, row by row."""
+        out = self._out
+        for row, (w_lower, w_upper) in enumerate(self.increments):
+            out[row, 0] = np.convolve(states[row, 0], w_lower)
+            out[row, 1] = np.convolve(states[row, 1], w_upper)
+        return out
+
+
 class _BatchMember:
     """One solve's mutable state inside :func:`_drive`."""
 
@@ -650,19 +686,24 @@ class _BatchMember:
 
 
 class _StackedGroup:
-    """Members currently sharing one stacked spectral plan.
+    """Members currently sharing one refinement level's stacked plan.
 
-    Built per refinement level; rebuilt whenever membership at that level
-    changes (a member retired, stalled out, or refined into the level).
-    States are copied out to each member's chains after every block, so
-    the stopping rule and refinement read each member's own chains.
+    The plan is spectral or direct as the members' chains are (one
+    config fixes the path per bin count).  Built per refinement level;
+    rebuilt whenever membership at that level changes (a member retired,
+    stalled out, or refined into the level).  States are copied out to
+    each member's chains after every block, so the stopping rule and
+    refinement read each member's own chains.
     """
 
     def __init__(self, members: Sequence[_BatchMember]) -> None:
         self.members = list(members)
         self.bins = members[0].chains.bins
+        plan_type = (
+            _StackedSpectralPlan if members[0].chains.spectral else _StackedDirectPlan
+        )
         before = time.perf_counter()
-        self.plan = _StackedSpectralPlan([m.chains for m in members], self.bins)
+        self.plan = plan_type([m.chains for m in members], self.bins)
         build_share = (time.perf_counter() - before) / len(self.members)
         self.states = np.stack([m.chains._state for m in members])
         self._scratch = np.empty_like(self.states)
@@ -688,33 +729,41 @@ class _StackedGroup:
         n = 3 * m + 1
         width = len(self.members)
         states, scratch = self.states, self._scratch
+        convolve = self.plan.convolve
+        add_reduce = np.add.reduce
+        clock = time.perf_counter
         fft_seconds = 0.0
         boundary_seconds = 0.0
+        start = clock()
         for _ in range(steps):
-            start = time.perf_counter()
-            u = self.plan.convolve(states)
-            mid = time.perf_counter()
+            u = convolve(states)
+            mid = clock()
+            # The same fold as _BoundedChains.iterate, minus numpy's
+            # wrappers: clip with no upper bound is maximum, sum is
+            # add.reduce, so every bit matches.
             new = scratch
-            new[..., 0] = u[..., : m + 1].sum(axis=-1)  # reflect sub-zero mass
+            add_reduce(u[..., : m + 1], axis=-1, out=new[..., 0])  # reflect sub-zero mass
             new[..., 1:m] = u[..., m + 1 : 2 * m]
-            new[..., m] = u[..., 2 * m : n].sum(axis=-1)  # absorb above-B mass
-            np.clip(new, 0.0, None, out=new)
-            totals = new.sum(axis=-1)
-            if not ((0.5 < totals) & (totals < 2.0)).all():  # pragma: no cover
+            add_reduce(u[..., 2 * m : n], axis=-1, out=new[..., m])  # absorb above-B mass
+            np.maximum(new, 0.0, out=new)
+            totals = add_reduce(new, axis=-1)
+            # A NaN total fails both comparisons, so it raises too.
+            if not all(0.5 < total < 2.0 for total in totals.ravel().tolist()):
                 raise ArithmeticError(
                     "occupancy pmf lost normalization; increments invalid?"
                 )
             new /= totals[..., np.newaxis]
             states, scratch = new, states
-            end = time.perf_counter()
+            end = clock()
             fft_seconds += mid - start
             boundary_seconds += end - mid
+            start = end
         self.states, self._scratch = states, scratch
         fft_share = fft_seconds / width
         boundary_share = boundary_seconds / width
         for position, member in enumerate(self.members):
             counters = member.chains.counters
-            counters.transforms += 2 * steps
+            counters.transforms += self.plan.step_transforms * steps
             counters.fft_seconds += fft_share
             counters.boundary_seconds += boundary_share
             counters.count_steps(m, steps)
@@ -733,10 +782,12 @@ def _drive(
 ) -> list[_Result]:
     """The one block loop behind every bounded solve; results in input order.
 
-    Each round every active member advances the same number of steps:
-    members at one spectral refinement level through one stacked
-    ``(K, 2, L)`` rfft/irfft pair (:class:`_StackedGroup`), members on
-    the direct-convolution path through their own chains.  After the
+    Each round every active member advances the same number of steps,
+    the members at one refinement level through one
+    :class:`_StackedGroup`: spectral levels in one stacked ``(K, 2, L)``
+    rfft/irfft pair per step, direct levels in one ``np.convolve`` per
+    chain, and either kind through one boundary fold per step.  All
+    members share ``config``, so a bin count fixes the path.  After the
     block, ``finish(member, iterations)`` applies the stopping rule to
     each member: a value retires the member with that result, None keeps
     it stepping (perhaps on a grid the rule refined).  Members still
@@ -752,10 +803,7 @@ def _drive(
         steps = min(config.block_iterations, config.max_iterations - iterations)
         by_level: dict[int, list[_BatchMember]] = {}
         for member in members:
-            if member.chains.spectral:
-                by_level.setdefault(member.chains.bins, []).append(member)
-            else:
-                member.chains.iterate(steps)
+            by_level.setdefault(member.chains.bins, []).append(member)
         for bins, level_members in by_level.items():
             group = groups.get(bins)
             if group is None or not group.holds(level_members):
@@ -800,17 +848,18 @@ def _refine_or_give_up(
 def batch_loss_rates(
     queues: Sequence[FluidQueue], config: SolverConfig | None = None
 ) -> list[LossRateResult]:
-    """Solve many queues at once through the stacked spectral kernel.
+    """Solve many queues at once through the stacked kernel.
 
     Every loss-rate solve runs here; :meth:`FluidQueue.loss_rate` is a
     batch of one.  All queues share one ``config``, so their block
     schedules run in lockstep through :func:`_drive` under Section III's
     loss-gap rule: negligible-loss exit, relative-gap exit, stall-
     triggered refinement, or give-up at ``max_bins``.  Stacked real FFTs
-    transform rows independently, so a queue's
-    :class:`~repro.core.results.LossRateResult` is bit-identical whatever
-    else shares its batch, and in whatever order — batching changes
-    throughput, never output.
+    transform rows independently, direct levels convolve each chain on
+    its own, and the boundary fold reduces each row on its own, so a
+    queue's :class:`~repro.core.results.LossRateResult` is bit-identical
+    whatever else shares its batch, and in whatever order — batching
+    changes throughput, never output.
 
     Results are returned in input order.
     """

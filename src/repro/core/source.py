@@ -64,17 +64,34 @@ class SourcePath:
     @property
     def epochs(self) -> np.ndarray:
         """Arrival epochs ``tau_n`` (starting at 0, length ``len(durations)+1``)."""
-        return np.concatenate([[0.0], np.cumsum(self.durations)])
+        epochs = np.empty(self.durations.size + 1)
+        epochs[0] = 0.0
+        np.cumsum(self.durations, out=epochs[1:])
+        return epochs
+
+    @classmethod
+    def joined(cls, paths: list[SourcePath]) -> SourcePath:
+        """The paths end to end; a single path is returned as it is."""
+        if len(paths) == 1:
+            return paths[0]
+        return cls(
+            durations=np.concatenate([p.durations for p in paths]),
+            rates=np.concatenate([p.rates for p in paths]),
+        )
 
     def to_binned_rates(self, bin_width: float) -> np.ndarray:
         """Average the path onto constant-width bins (a trace, like MTV/Bellcore).
 
         Exact: per-bin work is computed from interval overlaps via the
-        cumulative-work function, then divided by the bin width.
+        cumulative-work function, then divided by the bin width.  Paths run
+        to millions of intervals, so the cumulative work is built in place.
         """
         bin_width = check_positive("bin_width", bin_width)
         epochs = self.epochs
-        cumulative_work = np.concatenate([[0.0], np.cumsum(self.durations * self.rates)])
+        cumulative_work = np.empty_like(epochs)
+        cumulative_work[0] = 0.0
+        work = np.multiply(self.durations, self.rates, out=cumulative_work[1:])
+        np.cumsum(work, out=work)
         n_bins = int(math.floor(self.total_time / bin_width))
         if n_bins == 0:
             raise ValueError("path shorter than one bin")
@@ -254,8 +271,5 @@ class CutoffFluidSource:
             path = self.sample_path(n, rng)
             batches.append(path)
             covered += path.total_time
-        durations = np.concatenate([p.durations for p in batches])
-        rates = np.concatenate([p.rates for p in batches])
-        merged = SourcePath(durations=durations, rates=rates)
-        trace = merged.to_binned_rates(bin_width)
+        trace = SourcePath.joined(batches).to_binned_rates(bin_width)
         return trace[: int(duration / bin_width)]

@@ -277,14 +277,19 @@ class TruncatedPareto:
         """Draw ``size`` i.i.d. interarrival times by inverse transform.
 
         Uniform draws below ``1 - atom`` map through the Pareto quantile
-        function; the rest land on the cutoff atom.
+        function; the rest land on the cutoff atom.  The transform
+        ``theta * ((1 - u) ** (-1 / alpha) - 1)`` runs in place on the
+        uniform draws, one step at a time, with the same bits.
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        u = rng.random(size)
-        samples = self.theta * ((1.0 - u) ** (-1.0 / self.alpha) - 1.0)
+        samples = rng.random(size)
+        np.subtract(1.0, samples, out=samples)
+        samples **= -1.0 / self.alpha
+        samples -= 1.0
+        samples *= self.theta
         if self.cutoff != math.inf:
-            samples = np.minimum(samples, self.cutoff)
+            np.minimum(samples, self.cutoff, out=samples)
         return samples
 
     def quantile(self, q: np.ndarray | float) -> np.ndarray | float:

@@ -44,7 +44,7 @@ class CellTelemetry:
         Widest multi-task kernel stack the solve stepped in (copied from
         :class:`~repro.core.results.SolverStats`).  1 marks a solo solve:
         dispatched alone, planned into a singleton batch, or batched but
-        never sharing a spectral plan.
+        never sharing a refinement level with another member.
     """
 
     index: int

@@ -249,10 +249,8 @@ class MarkovModulatedSource:
             path = self.sample_path(n, rng)
             batches.append(path)
             covered += path.total_time
-        durations = np.concatenate([p.durations for p in batches])
-        rates = np.concatenate([p.rates for p in batches])
-        merged = SourcePath(durations=durations, rates=rates)
-        return merged.to_binned_rates(bin_width)[: int(duration / bin_width)]
+        trace = SourcePath.joined(batches).to_binned_rates(bin_width)
+        return trace[: int(duration / bin_width)]
 
     def segments(self, rng: np.random.Generator):
         """Lazy ``(duration, rate)`` stream: the netsim ``RateSource`` protocol."""

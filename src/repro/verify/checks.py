@@ -40,7 +40,10 @@ __all__ = [
 class CheckOutcome:
     """Result of running one check against one scenario.
 
-    ``passed`` is meaningful only when ``skipped`` is False; ``details``
+    ``skipped`` means the check ran and declined to judge (say, a loss
+    too small to resolve); ``applicable`` is False when the check does
+    not apply to the scenario and never ran.  ``passed`` is meaningful
+    only for an applicable outcome that was not skipped; ``details``
     carries the numeric evidence (bounds, estimates, tolerances) that a
     failure report persists alongside the scenario.
     """
@@ -50,6 +53,7 @@ class CheckOutcome:
     skipped: bool = False
     message: str = ""
     details: dict = field(default_factory=dict)
+    applicable: bool = True
 
     @classmethod
     def ok(cls, check: str, **details: float) -> "CheckOutcome":
@@ -62,6 +66,10 @@ class CheckOutcome:
     @classmethod
     def skip(cls, check: str, message: str = "") -> "CheckOutcome":
         return cls(check=check, passed=True, skipped=True, message=message)
+
+    @classmethod
+    def not_applicable(cls, check: str, message: str = "not applicable") -> "CheckOutcome":
+        return cls(check=check, passed=True, message=message, applicable=False)
 
 
 class CheckContext:

@@ -83,12 +83,18 @@ class CaseResult:
 
 @dataclass
 class CheckTally:
-    """Pass/fail/skip counters for one check across a run."""
+    """Outcome counters for one check (or family) across a run.
+
+    ``ran`` counts every battery entry, so it is the sum of the other
+    four: ``skipped`` checks ran and declined to judge, while
+    ``not_applicable`` checks do not apply to the case and never ran.
+    """
 
     ran: int = 0
     passed: int = 0
     failed: int = 0
     skipped: int = 0
+    not_applicable: int = 0
 
 
 @dataclass
@@ -117,7 +123,9 @@ class FuzzReport:
             tallies.append(self.family_tallies.setdefault(family, CheckTally()))
         for tally in tallies:
             tally.ran += 1
-            if outcome.skipped:
+            if not outcome.applicable:
+                tally.not_applicable += 1
+            elif outcome.skipped:
                 tally.skipped += 1
             elif outcome.passed:
                 tally.passed += 1
@@ -135,6 +143,7 @@ class FuzzReport:
                 "passed": tally.passed,
                 "failed": tally.failed,
                 "skipped": tally.skipped,
+                "not_applicable": tally.not_applicable,
                 "pass_rate": (tally.passed / judged) if judged else None,
             }
         return {
@@ -145,6 +154,13 @@ class FuzzReport:
             "families": families,
         }
 
+    @staticmethod
+    def _columns(tally: CheckTally) -> str:
+        return (
+            f"ran {tally.ran:>5}  passed {tally.passed:>5}  failed {tally.failed:>3}  "
+            f"skipped {tally.skipped:>4}  n/a {tally.not_applicable:>4}"
+        )
+
     def summary(self) -> str:
         """Multi-line human-readable report."""
         lines = [
@@ -153,16 +169,10 @@ class FuzzReport:
         ]
         for name in sorted(self.tallies):
             tally = self.tallies[name]
-            lines.append(
-                f"  {name:<24} ran {tally.ran:>5}  passed {tally.passed:>5}  "
-                f"failed {tally.failed:>3}  skipped {tally.skipped:>4}"
-            )
+            lines.append(f"  {name:<24} {self._columns(tally)}")
         for family in sorted(self.family_tallies):
             tally = self.family_tallies[family]
-            lines.append(
-                f"  family={family:<17} ran {tally.ran:>5}  passed {tally.passed:>5}  "
-                f"failed {tally.failed:>3}  skipped {tally.skipped:>4}"
-            )
+            lines.append(f"  family={family:<17} {self._columns(tally)}")
         for record in self.failures:
             scenario = Scenario.from_payload(record.scenario)
             lines.append(f"  FAIL {record.check}: {record.message}")
@@ -197,7 +207,7 @@ def _run_case(
     outcomes = []
     for check in battery:
         if not check.applies(scenario):
-            outcomes.append(CheckOutcome.skip(check.name, "not applicable"))
+            outcomes.append(CheckOutcome.not_applicable(check.name))
             continue
         outcomes.append(check.run(scenario, ctx))
     return CaseResult(index=index, scenario=scenario, outcomes=tuple(outcomes))
@@ -320,7 +330,7 @@ def run_corpus(
         scenario = record.restore_scenario()
         report.cases += 1
         if not check.applies(scenario):
-            outcome = CheckOutcome.skip(check.name, "no longer applicable")
+            outcome = CheckOutcome.not_applicable(check.name, "no longer applicable")
         else:
             outcome = check.run(scenario, ctx)
         report.record(outcome)

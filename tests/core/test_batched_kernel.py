@@ -11,6 +11,11 @@ reference is the per-chain kernel (:meth:`_BoundedChains.iterate` with
 its own :class:`_SpectralPlan`): the stacked group must reproduce its
 states bit for bit.  ``stationary_occupancy`` output is pinned by digests
 taken before the solo loops were folded into the driver.
+
+Every level steps through a stacked group, so both convolution paths
+are covered: the spectral plan (``SPECTRAL``, threshold 0) and the
+direct plan (``DIRECT``, ``use_fft=False``), plus batches whose members
+cross from one path to the other under the default threshold.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ SPECTRAL = SolverConfig(
 )
 DIRECT = SolverConfig(
     initial_bins=32, max_bins=128, relative_gap=0.5, max_iterations=2_000,
+    use_fft=False,
+)
+# Tighter direct-path config: members exit by gap convergence, by giving
+# up at max_bins, and at different iterations and levels.
+DIRECT_DIVERGENT = SolverConfig(
+    initial_bins=32, max_bins=128, relative_gap=0.1, max_iterations=2_000,
     use_fft=False,
 )
 
@@ -122,6 +133,56 @@ class TestBitIdentity:
         _assert_identical(batched, solo)
         assert not any(result.converged for result in batched)
 
+    @pytest.mark.parametrize("width", [1, 2, 8, 64])
+    def test_direct_stacks_match_solo(self, width):
+        queues = _queues(np.geomspace(3.0, 0.02, width), utilization=0.95)
+        batched = batch_loss_rates(queues, config=DIRECT_DIVERGENT)
+        solo = [queue.loss_rate(DIRECT_DIVERGENT) for queue in queues]
+        _assert_identical(batched, solo)
+        for from_batch, from_solo in zip(batched, solo):
+            assert from_batch.stats.transforms == from_solo.stats.transforms == 0
+            assert (
+                from_batch.stats.steps_per_level == from_solo.stats.steps_per_level
+            )
+
+    def test_direct_divergent_exit_paths_stay_identical(self):
+        queues = _queues([0.02, 0.1, 0.5, 2.0, 5.0], utilization=0.95)
+        batched = batch_loss_rates(queues, config=DIRECT_DIVERGENT)
+        solo = [queue.loss_rate(DIRECT_DIVERGENT) for queue in queues]
+        _assert_identical(batched, solo)
+        assert len({result.iterations for result in solo}) > 1
+        assert len({result.bins for result in solo}) > 1
+        assert {result.converged for result in solo} == {True, False}
+
+    def test_direct_iteration_exhaustion_matches_solo(self):
+        starved = SolverConfig(
+            initial_bins=32, max_bins=64, relative_gap=1e-12,
+            negligible_loss=0.0, max_iterations=48, block_iterations=16,
+            use_fft=False,
+        )
+        queues = _queues([0.1, 0.2, 0.4])
+        batched = batch_loss_rates(queues, config=starved)
+        solo = [queue.loss_rate(starved) for queue in queues]
+        _assert_identical(batched, solo)
+        assert not any(result.converged for result in batched)
+        assert all(result.iterations == 48 for result in batched)
+
+    def test_mixed_direct_and_spectral_levels_match_solo(self):
+        # Under the default threshold members start at 128 bins (direct)
+        # and refine to 256+ (spectral) at different blocks, so one round
+        # steps a direct group and a spectral group side by side.
+        config = SolverConfig(relative_gap=0.05, max_bins=1024, max_iterations=20_000)
+        queues = _queues([0.05, 0.3, 1.0, 2.0], utilization=0.9)
+        batched = batch_loss_rates(queues, config=config)
+        solo = [queue.loss_rate(config) for queue in queues]
+        _assert_identical(batched, solo)
+        steps_at_128 = [dict(result.stats.steps_per_level)[128] for result in solo]
+        left_128 = [
+            steps for steps, result in zip(steps_at_128, solo) if result.bins > 128
+        ]
+        # Some member left 128 bins while another was still stepping there.
+        assert left_128 and min(left_128) < max(steps_at_128)
+
 
 class TestBatchSemantics:
     def test_empty_batch(self):
@@ -136,13 +197,14 @@ class TestBatchSemantics:
 
     def test_stacked_members_record_their_batch_width(self):
         queues = _queues([0.1, 0.2, 0.4, 0.8])
-        batched = batch_loss_rates(queues, config=SPECTRAL)
-        for result in batched:
-            assert result.stats is not None
-            assert result.stats.batch_width > 1
-        solo = queues[0].loss_rate(SPECTRAL)
-        assert solo.stats is not None
-        assert solo.stats.batch_width == 1
+        for config in (SPECTRAL, DIRECT):
+            batched = batch_loss_rates(queues, config=config)
+            for result in batched:
+                assert result.stats is not None
+                assert result.stats.batch_width > 1
+            solo = queues[0].loss_rate(config)
+            assert solo.stats is not None
+            assert solo.stats.batch_width == 1
 
     def test_counters_match_the_solo_equivalents(self):
         # The batched path reports solo-equivalent work per member: the
@@ -161,24 +223,74 @@ class TestBatchSemantics:
 class TestStackedKernelReference:
     """The stacked group against the per-chain kernel, state for state."""
 
-    @pytest.mark.parametrize("bins", [64, 256])
-    @pytest.mark.parametrize("width", ["one", "three", "past_sub_chunk"])
-    def test_stacked_group_matches_per_chain_kernel(self, bins, width):
-        count = {"one": 1, "three": 3, "past_sub_chunk": _fft_stack_width(bins) + 2}[width]
+    @pytest.mark.parametrize(
+        "path,bins,width",
+        [
+            ("spectral", bins, width)
+            for bins in (64, 256)
+            for width in ("one", "three", "past_sub_chunk")
+        ]
+        + [
+            ("direct", bins, width)
+            for bins in (32, 128)
+            for width in ("one", "three", "sixteen")
+        ],
+    )
+    def test_stacked_group_matches_per_chain_kernel(self, path, bins, width):
+        count = {
+            "one": 1, "three": 3, "sixteen": 16,
+            "past_sub_chunk": _fft_stack_width(bins) + 2,
+        }[width]
+        spectral = path == "spectral"
         queues = _queues(np.linspace(0.1, 2.0, count))
-        stacked = [queue._chains(bins, True, 0) for queue in queues]
-        reference = [queue._chains(bins, True, 0) for queue in queues]
+        stacked = [queue._chains(bins, spectral, 0) for queue in queues]
+        reference = [queue._chains(bins, spectral, 0) for queue in queues]
         group = _StackedGroup(
             [_BatchMember(index, chains) for index, chains in enumerate(stacked)]
         )
         for steps in (16, 16, 7):
             group.iterate(steps)
             for chains in reference:
-                chains.iterate(steps)  # the per-chain _SpectralPlan kernel
+                # The per-chain kernel: its own _SpectralPlan, or np.vstack
+                # of two np.convolve calls on the direct path.
+                chains.iterate(steps)
         for ours, theirs in zip(stacked, reference):
             assert np.array_equal(ours.lower_pmf, theirs.lower_pmf)
             assert np.array_equal(ours.upper_pmf, theirs.upper_pmf)
             assert ours.counters.transforms == theirs.counters.transforms
+            if not spectral:
+                assert ours.counters.transforms == 0
+
+
+class TestNormalizationGuard:
+    """A stack whose pmf mass leaves (0.5, 2) raises instead of renormalizing.
+
+    One member's increments are corrupted before its group is built.  The
+    NaN goes into the upper chain only, so the NaN total is never first
+    in the stack's totals: a guard using Python ``min``/``max`` would let
+    it through.
+    """
+
+    @pytest.mark.parametrize("spectral,bins", [(True, 64), (False, 32)])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("corruption", ["scaled_up", "scaled_down", "nan"])
+    def test_corrupted_increments_raise(self, spectral, bins, width, corruption):
+        queues = _queues(np.linspace(0.1, 2.0, width))
+        chains = [queue._chains(bins, spectral, 0) for queue in queues]
+        victim = chains[width // 2]
+        if corruption == "nan":
+            victim.w_upper = victim.w_upper.copy()
+            victim.w_upper[bins] = np.nan
+        else:
+            # Totals near 3 or near 0.2 after one step.
+            factor = {"scaled_up": 3.0, "scaled_down": 0.2}[corruption]
+            victim.w_lower = victim.w_lower * factor
+            victim.w_upper = victim.w_upper * factor
+        group = _StackedGroup(
+            [_BatchMember(index, pair) for index, pair in enumerate(chains)]
+        )
+        with pytest.raises(ArithmeticError, match="lost normalization"):
+            group.iterate(1)
 
 
 def _occupancy_digest(bounds) -> str:

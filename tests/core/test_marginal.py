@@ -86,6 +86,34 @@ class TestMoments:
         for rate, prob in zip(three_level_marginal.rates, three_level_marginal.probs):
             assert np.mean(samples == rate) == pytest.approx(prob, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [1.0],
+            [0.3, 0.7],
+            [0.0, 0.5, 0.0, 0.5, 0.0],  # empty levels at both ends and inside
+            np.full(8, 1 / 8),  # the most levels sampled by counting
+            np.full(9, 1 / 9),  # the fewest handed to Generator.choice
+        ],
+        ids=["1", "2", "zeros", "8", "9"],
+    )
+    def test_sampling_bits_match_generator_choice(self, probs):
+        marginal = DiscreteMarginal(rates=np.arange(len(probs)) + 0.5, probs=probs)
+        for seed in range(3):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            samples = marginal.sample(5000, ours)
+            assert np.array_equal(samples, numpys.choice(marginal.rates, 5000, p=marginal.probs))
+            assert ours.random() == numpys.random()  # the same draws consumed
+        assert marginal.sample(0, np.random.default_rng(0)).shape == (0,)
+
+    def test_sampling_tie_picks_the_upper_level_as_generator_choice_does(self):
+        first_draw = np.random.default_rng(0).random()
+        marginal = DiscreteMarginal(rates=[0.5, 1.5], probs=[first_draw, 1.0 - first_draw])
+        cdf = np.cumsum(marginal.probs)
+        assert cdf[0] / cdf[-1] == first_draw  # the first draw lands on the level
+        assert marginal.sample(1, np.random.default_rng(0))[0] == 1.5
+        assert np.random.default_rng(0).choice(marginal.rates, 1, p=marginal.probs)[0] == 1.5
+
     @given(marginals())
     @settings(max_examples=60, deadline=None)
     def test_variance_nonnegative(self, marginal):

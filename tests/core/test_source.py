@@ -124,6 +124,36 @@ class TestSampling:
         trace = small_source.rate_trace(duration=50.0, bin_width=0.05, rng=rng)
         assert np.all(trace >= -1e-12)
 
+    def test_rate_trace_bits_match_the_plain_formulas(self, small_source):
+        # The batch loop replayed with plain concatenate/cumsum/interp; a
+        # short trace often needs a second batch, so both kinds are covered.
+        duration = 60.0 * small_source.mean_interval
+        bin_width = small_source.mean_interval / 2.0
+        batch_counts = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            paths, covered = [], 0.0
+            while covered < duration:
+                n = max(64, int(1.2 * (duration - covered) / small_source.mean_interval) + 1)
+                paths.append(small_source.sample_path(n, rng))
+                covered += paths[-1].total_time
+            expected = _plain_binned_rates(
+                np.concatenate([p.durations for p in paths]),
+                np.concatenate([p.rates for p in paths]),
+                bin_width,
+            )[: int(duration / bin_width)]
+            trace = small_source.rate_trace(duration, bin_width, np.random.default_rng(seed))
+            assert np.array_equal(trace, expected)
+            batch_counts.add(min(len(paths), 2))
+        assert batch_counts == {1, 2}
+
+
+def _plain_binned_rates(durations, rates, bin_width):
+    epochs = np.concatenate([[0.0], np.cumsum(durations)])
+    work = np.concatenate([[0.0], np.cumsum(durations * rates)])
+    edges = np.arange(int(durations.sum() / bin_width) + 1) * bin_width
+    return np.diff(np.interp(edges, epochs, work)) / bin_width
+
 
 class TestSourcePath:
     def test_binning_conserves_work(self):
@@ -149,6 +179,22 @@ class TestSourcePath:
     def test_epochs(self):
         path = SourcePath(durations=np.array([1.0, 2.0]), rates=np.array([1.0, 1.0]))
         np.testing.assert_allclose(path.epochs, [0.0, 1.0, 3.0])
+
+    def test_epochs_and_binning_bits_match_the_plain_formulas(self):
+        rng = np.random.default_rng(6)
+        path = SourcePath(durations=rng.exponential(size=5000), rates=rng.random(5000))
+        epochs = np.concatenate([[0.0], np.cumsum(path.durations)])
+        assert np.array_equal(path.epochs, epochs)
+        expected = _plain_binned_rates(path.durations, path.rates, 0.7)
+        assert np.array_equal(path.to_binned_rates(0.7), expected)
+
+    def test_joined(self):
+        first = SourcePath(durations=np.array([1.0, 2.0]), rates=np.array([3.0, 4.0]))
+        second = SourcePath(durations=np.array([0.5]), rates=np.array([1.0]))
+        assert SourcePath.joined([first]) is first
+        both = SourcePath.joined([first, second])
+        np.testing.assert_array_equal(both.durations, [1.0, 2.0, 0.5])
+        np.testing.assert_array_equal(both.rates, [3.0, 4.0, 1.0])
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="shapes"):

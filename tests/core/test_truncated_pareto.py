@@ -212,6 +212,15 @@ class TestSamplingAndQuantiles:
         rng = np.random.default_rng(3)
         assert LAW.sample(0, rng).size == 0
 
+    @pytest.mark.parametrize("law", [LAW, INFINITE], ids=["cutoff", "infinite"])
+    def test_sample_bits_match_the_quantile_expression(self, law):
+        # The in-place transform reproduces the one-line expression bit for bit.
+        u = np.random.default_rng(5).random(10_000)
+        expected = law.theta * ((1.0 - u) ** (-1.0 / law.alpha) - 1.0)
+        if law.cutoff != math.inf:
+            expected = np.minimum(expected, law.cutoff)
+        assert np.array_equal(law.sample(10_000, np.random.default_rng(5)), expected)
+
     def test_sample_negative_size_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="size"):

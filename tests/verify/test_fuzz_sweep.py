@@ -106,6 +106,24 @@ class TestCli:
             assert tally["ran"] > 0
             assert 0.0 <= tally["pass_rate"] <= 1.0
 
+    def test_inapplicable_cases_are_not_counted_as_skips(self, capsys):
+        # The exact netsim check never declines to judge; the cases it
+        # does not apply to (no loss path) get their own column.
+        code = main(
+            ["fuzz", "--check", "netsim_vs_solver", "--cases", "300", "--seed", "1",
+             "--no-corpus"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        line = next(
+            ln for ln in out.splitlines() if ln.strip().startswith("netsim_vs_solver")
+        )
+        counts = line.split()[1:]
+        tally = dict(zip(counts[::2], (int(value) for value in counts[1::2])))
+        assert tally == {
+            "ran": 300, "passed": 237, "failed": 0, "skipped": 0, "n/a": 63
+        }
+
     def test_unknown_compare_family_is_an_error(self, capsys):
         assert main(["compare", "--family", "bogus", "--buffer", "0.1"]) == 2
         assert "bogus" in capsys.readouterr().err

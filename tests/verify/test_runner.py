@@ -53,10 +53,25 @@ def test_cheap_checks_run_every_case_expensive_rotate():
     assert report.tallies["e2"].ran == 5
 
 
-def test_inapplicable_checks_count_as_skips():
-    report = run_fuzz(cases=4, seed=0, checks=[StubCheck("never", applies=False)])
+class DecliningCheck(StubCheck):
+    """Applies, runs, and declines to judge every case."""
+
+    def run(self, scenario: Scenario, ctx: CheckContext) -> CheckOutcome:
+        return CheckOutcome.skip(self.name, "too small to resolve")
+
+
+def test_inapplicable_checks_count_as_not_applicable():
+    report = run_fuzz(
+        cases=4, seed=0, checks=[StubCheck("never", applies=False), DecliningCheck("declines")]
+    )
     assert report.ok
-    assert report.tallies["never"].skipped == 4
+    never, declines = report.tallies["never"], report.tallies["declines"]
+    assert (never.ran, never.not_applicable, never.skipped) == (4, 4, 0)
+    assert (declines.ran, declines.not_applicable, declines.skipped) == (4, 0, 4)
+    families = report.family_report()["families"]
+    assert sum(tally["not_applicable"] for tally in families.values()) == 4
+    assert sum(tally["skipped"] for tally in families.values()) == 4
+    assert "skipped    4  n/a    0" in report.summary()
 
 
 def test_check_names_filter_and_unknown_name():
