@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -100,6 +101,23 @@ def _timed_steps(bins: int, kernel: str, steps: int = STEPS) -> float:
     return (time.perf_counter() - start) / steps
 
 
+def _best_of_alternating(best_of: int, *sides):
+    """Fastest of ``best_of`` runs of each side, the sides taking turns.
+
+    A side returns its seconds, or a tuple that starts with them.  Taking
+    turns lets every side sample the same host-speed swings; timing all
+    runs of one side first would hand a slow spell to one side only.
+    """
+    runs = [[] for _ in sides]
+    for _ in range(best_of):
+        for side, timed in zip(sides, runs):
+            timed.append(side())
+    return [
+        min(timed, key=lambda run: run[0] if isinstance(run, tuple) else run)
+        for timed in runs
+    ]
+
+
 def test_perf_solver_scaling(benchmark):
     def run():
         spectral = np.array([_timed_steps(int(m), "spectral") for m in BINS])
@@ -150,14 +168,17 @@ def test_perf_solver_scaling(benchmark):
 def test_perf_step_smoke():
     """CI gate: per-step spectral cost at 2048 bins vs the v1 baseline.
 
-    Runs in a few hundred milliseconds.  Persists the per-step timings so
-    regressions leave an artifact trail, and fails when the spectral
-    kernel loses more than half its measured advantage over the committed
-    legacy baseline (>2x per-step regression).
+    Runs in a few hundred milliseconds, the two kernels taking turns,
+    best of three.  Persists the per-step timings so regressions leave an
+    artifact trail, and fails when the spectral kernel loses more than
+    half its measured advantage over the committed legacy baseline (>2x
+    per-step regression).
     """
-    best_of = 3
-    spectral = min(_timed_steps(SMOKE_BINS, "spectral", steps=8) for _ in range(best_of))
-    legacy = min(_timed_steps(SMOKE_BINS, "legacy", steps=8) for _ in range(best_of))
+    spectral, legacy = _best_of_alternating(
+        3,
+        partial(_timed_steps, SMOKE_BINS, "spectral", steps=8),
+        partial(_timed_steps, SMOKE_BINS, "legacy", steps=8),
+    )
     speedup = legacy / spectral
     persist(
         "perf_step_smoke",
@@ -353,19 +374,15 @@ def test_perf_batch_smoke():
     """CI gate: the batch planner must beat per-task solves single-process.
 
     A 16-task slice of the homogeneous grid (refining to 2048 bins) runs
-    once per plan width, best of three; the stacked kernel has to deliver
-    at least ``BATCH_SMOKE_MIN_SPEEDUP`` or the batching machinery has
-    regressed into overhead.
+    once per plan width, the widths taking turns, best of three; the
+    stacked kernel has to deliver at least ``BATCH_SMOKE_MIN_SPEEDUP`` or
+    the batching machinery has regressed into overhead.
     """
-    best_of = 3
     smoke_tasks = 16
-    solo_seconds, solo_results = min(
-        (_timed_batch_sweep(smoke_tasks, max_batch=1) for _ in range(best_of)),
-        key=lambda timed: timed[0],
-    )
-    batch_seconds, batch_results = min(
-        (_timed_batch_sweep(smoke_tasks, max_batch=None) for _ in range(best_of)),
-        key=lambda timed: timed[0],
+    (solo_seconds, solo_results), (batch_seconds, batch_results) = _best_of_alternating(
+        3,
+        partial(_timed_batch_sweep, smoke_tasks, 1),
+        partial(_timed_batch_sweep, smoke_tasks, None),
     )
     speedup = solo_seconds / max(batch_seconds, 1e-9)
     persist(
@@ -392,24 +409,20 @@ def test_perf_direct_batch_smoke():
     """CI gate: stacked direct-path solves must beat per-task solves.
 
     Sixteen tasks stay at 128 bins on the direct path and run 512 steps
-    each, once per plan width, best of five.  Each stacked step still
-    runs one ``np.convolve`` per chain but folds the boundaries of the
-    whole stack at once; below ``DIRECT_BATCH_SMOKE_MIN_SPEEDUP`` that
-    shared fold has regressed into overhead.
+    each, once per plan width, the widths taking turns, best of five.
+    Each stacked step still runs one ``np.convolve`` per chain but folds
+    the boundaries of the whole stack at once; below
+    ``DIRECT_BATCH_SMOKE_MIN_SPEEDUP`` that shared fold has regressed into
+    overhead.
     """
-    best_of = 5
     smoke_tasks = 16
-    runs: dict[int | None, list[tuple[float, list]]] = {1: [], None: []}
-    # Alternate the two widths so both sample the same host-speed swings.
-    for _ in range(best_of):
-        for max_batch in runs:
-            runs[max_batch].append(
-                _timed_batch_sweep(
-                    smoke_tasks, max_batch, DIRECT_BATCH_CONFIG, DIRECT_BATCH_BUFFERS
-                )
-            )
-    solo_seconds, solo_results = min(runs[1], key=lambda timed: timed[0])
-    batch_seconds, batch_results = min(runs[None], key=lambda timed: timed[0])
+    sweep = partial(
+        _timed_batch_sweep, smoke_tasks,
+        config=DIRECT_BATCH_CONFIG, buffers=DIRECT_BATCH_BUFFERS,
+    )
+    (solo_seconds, solo_results), (batch_seconds, batch_results) = _best_of_alternating(
+        5, partial(sweep, max_batch=1), partial(sweep, max_batch=None)
+    )
     speedup = solo_seconds / max(batch_seconds, 1e-9)
     persist(
         "perf_direct_batch_smoke",

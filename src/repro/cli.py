@@ -567,12 +567,10 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 def _run_netsim(args: argparse.Namespace) -> int:
     """Run a netsim preset sweep and report per-cell/per-node telemetry."""
-    from repro.exec.telemetry import SweepTelemetry
     from repro.netsim import multiplexer_preset, tandem_preset
 
     utilizations = args.utilizations or [0.7, 0.9]
     buffers = args.buffers or [0.1, 0.5]
-    telemetry = SweepTelemetry()
     if args.preset == "tandem":
         report = tandem_preset(
             utilizations=utilizations,
@@ -582,7 +580,6 @@ def _run_netsim(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             seed=args.seed,
             hurst=args.hurst,
-            telemetry=telemetry,
         )
     else:
         report = multiplexer_preset(
@@ -593,7 +590,6 @@ def _run_netsim(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             seed=args.seed,
             hurst=args.hurst,
-            telemetry=telemetry,
         )
     text = report.format_table()
     print(text)
@@ -605,11 +601,11 @@ def _run_netsim(args: argparse.Namespace) -> int:
                 f"cell {cell.index}: util={cell.utilization:g} "
                 f"buffer={cell.normalized_buffer:g}s",
             ))
-    events = sum(cell.iterations for cell in telemetry.cells)
-    seconds = telemetry.solve_seconds
+    events = sum(cell.result.events_processed for cell in report.cells)
+    seconds = sum(cell.result.wall_seconds for cell in report.cells)
     rate = events / seconds if seconds > 0.0 else 0.0
     print(
-        f"netsim: {telemetry.total_cells} cells, {events} events, "
+        f"netsim: {len(report.cells)} cells, {events} events, "
         f"{seconds:.2f}s simulating ({rate:,.0f} events/s)",
         file=sys.stderr,
     )

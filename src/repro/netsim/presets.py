@@ -1,11 +1,9 @@
 """Reference topologies: the tandem chain and the N-source multiplexer.
 
 Both presets sweep a small (buffer × utilization) grid around the
-paper's operating points, run one seeded simulation per cell, and
-record per-cell cost into the existing
-:class:`~repro.exec.telemetry.SweepTelemetry` (``iterations`` carries
-events processed, ``bins`` the node count), so netsim runs report
-through the same summary path as solver sweeps.  Buffers follow the
+paper's operating points and run one seeded simulation per cell; each
+cell's :class:`~repro.netsim.simulate.NetSimResult` carries its own
+cost (``events_processed``, ``wall_seconds``).  Buffers follow the
 repo-wide convention: a *normalized* buffer of ``b`` seconds means an
 absolute capacity of ``b * service_rate`` fluid units.
 """
@@ -20,7 +18,6 @@ import numpy as np
 
 from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
-from repro.exec.telemetry import CellTelemetry, SweepTelemetry
 from repro.experiments import reporting
 from repro.netsim.nodes import MuxNode, QueueNode, SinkNode
 from repro.netsim.simulate import NetSimResult, simulate
@@ -179,9 +176,8 @@ def _run_grid(
     duration: float,
     warmup: float,
     seed: int,
-    telemetry: SweepTelemetry | None,
 ) -> PresetReport:
-    """Simulate every (utilization, buffer) cell and record telemetry."""
+    """Simulate every (utilization, buffer) cell."""
     cells: list[PresetCell] = []
     index = 0
     for utilization in utilizations:
@@ -190,19 +186,6 @@ def _run_grid(
             result = simulate(
                 topology, duration=duration, warmup=warmup, seed=seed + index
             )
-            if telemetry is not None:
-                telemetry.record(
-                    CellTelemetry(
-                        index=index,
-                        key="",
-                        seconds=result.wall_seconds,
-                        iterations=result.events_processed,
-                        bins=len(topology.nodes),
-                        converged=True,
-                        negligible=False,
-                        cached=False,
-                    )
-                )
             cells.append(
                 PresetCell(
                     index=index,
@@ -223,7 +206,6 @@ def tandem_preset(
     warmup: float = 20.0,
     seed: int = 0,
     hurst: float = 0.8,
-    telemetry: SweepTelemetry | None = None,
 ) -> PresetReport:
     """Sweep the two-hop tandem over a (utilization × buffer) grid."""
     return _run_grid(
@@ -234,7 +216,6 @@ def tandem_preset(
         duration=duration,
         warmup=warmup,
         seed=seed,
-        telemetry=telemetry,
     )
 
 
@@ -246,7 +227,6 @@ def multiplexer_preset(
     warmup: float = 20.0,
     seed: int = 0,
     hurst: float = 0.8,
-    telemetry: SweepTelemetry | None = None,
 ) -> PresetReport:
     """Sweep the N-source multiplexer over a (utilization × buffer) grid."""
     return _run_grid(
@@ -257,5 +237,4 @@ def multiplexer_preset(
         duration=duration,
         warmup=warmup,
         seed=seed,
-        telemetry=telemetry,
     )

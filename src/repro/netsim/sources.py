@@ -12,16 +12,18 @@ through one interface.
 Three adapters cover the repo's generator families:
 
 * :class:`RenewalSource` — the paper's cutoff fluid source itself: i.i.d.
-  ``(T_n, lambda_n)`` renewal epochs sampled lazily in chunks.  This is
-  the adapter the netsim-vs-solver oracle uses, because a one-node
+  ``(T_n, lambda_n)`` renewal epochs sampled lazily in chunks; a one-node
   topology fed by it is *exactly* the queue of Eq. 9.
 * :class:`TraceSource` — any pre-binned rate array; constructors wrap
   the fGn, FARIMA, on/off-aggregate, M/G/∞ and synthetic-trace
   generators (Gaussian families are clipped at zero, which biases the
   mean slightly upward — the same convention the shuffle experiments
-  use).  A trace is finite: once exhausted, the last rate holds.
+  use).  The matched-models oracle feeds its family traces through it.
+  A trace is finite: once exhausted, the last rate holds.
 * :class:`SegmentSource` — explicit ``(durations, rates)`` arrays, the
-  adapter tests use to feed a *known* path through the network.
+  adapter that feeds a *known* path through the network: the
+  netsim-vs-solver oracle replays one sampled renewal path through it
+  and through Eq. 9, and the tests feed hand-built paths.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class RateSource:
 
 @dataclass(frozen=True)
 class SegmentSource(RateSource):
-    """An explicit, finite ``(durations, rates)`` path (test harness adapter)."""
+    """An explicit, finite ``(durations, rates)`` path (netsim oracle and tests)."""
 
     durations: tuple[float, ...]
     rates: tuple[float, ...]

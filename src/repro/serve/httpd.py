@@ -62,10 +62,18 @@ class _BadRequest(Exception):
     """Malformed HTTP framing; reply 400 and close the connection."""
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line, bounded in time and in length."""
+    try:
+        return await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT_S)
+    except ValueError:  # longer than the stream's buffer limit
+        raise _BadRequest("oversized request headers") from None
+
+
 async def _read_head(reader: asyncio.StreamReader) -> tuple[str, str, str, dict] | None:
     """Read one request line + headers; ``None`` on clean EOF / idle timeout."""
     try:
-        request_line = await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT_S)
+        request_line = await _read_line(reader)
     except asyncio.TimeoutError:
         return None
     if not request_line:
@@ -77,7 +85,7 @@ async def _read_head(reader: asyncio.StreamReader) -> tuple[str, str, str, dict]
     headers: dict[str, str] = {}
     total = 0
     while True:
-        line = await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT_S)
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         total += len(line)
@@ -119,7 +127,7 @@ async def _route(
         raise _BadRequest("bad Content-Length") from None
     if length <= 0 or length > _MAX_BODY_BYTES:
         raise _BadRequest("missing or oversized request body")
-    body = await reader.readexactly(length)
+    body = await asyncio.wait_for(reader.readexactly(length), _IDLE_TIMEOUT_S)
     try:
         request = parse_request(json.loads(body))
     except json.JSONDecodeError as error:

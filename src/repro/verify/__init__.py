@@ -29,7 +29,6 @@ from repro.verify.matched import (
     ComparisonRow,
     FamilyTraits,
     MatchedModelsOracle,
-    matched_rate_source,
     run_model_comparison,
     sample_family_trace,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "SpectralDirectOracle",
     "VerifyCheck",
     "default_checks",
-    "matched_rate_source",
     "minimize_scenario",
     "netsim_single_queue",
     "run_corpus",

@@ -1,10 +1,12 @@
 """Check plumbing shared by the oracles and the metamorphic relations.
 
 Every verification property is a :class:`VerifyCheck`: it declares a
-``name``/``kind``, decides whether it :meth:`~VerifyCheck.applies` to a
-scenario, and returns a :class:`CheckOutcome`.  Checks never call the
-solver or the simulators directly — they go through the
-:class:`CheckContext` hooks, which buys two things at once:
+``name``/``kind`` and its tolerances as fixed class attributes, decides
+whether it :meth:`~VerifyCheck.applies` to a scenario, and returns a
+:class:`CheckOutcome`; :func:`judge` is the one path from a check and a
+scenario to that outcome.  Checks never call the solver or the
+simulators directly — they go through the :class:`CheckContext` hooks,
+which buys two things at once:
 
 * **cached solve reuse** — the runner routes ``ctx.solve`` through a
   :class:`~repro.exec.engine.SweepEngine`, so the base solve a scenario
@@ -33,6 +35,7 @@ __all__ = [
     "CheckContext",
     "CheckOutcome",
     "VerifyCheck",
+    "judge",
 ]
 
 
@@ -68,8 +71,13 @@ class CheckOutcome:
         return cls(check=check, passed=True, skipped=True, message=message)
 
     @classmethod
-    def not_applicable(cls, check: str, message: str = "not applicable") -> "CheckOutcome":
-        return cls(check=check, passed=True, message=message, applicable=False)
+    def not_applicable(cls, check: str) -> "CheckOutcome":
+        return cls(check=check, passed=True, message="not applicable", applicable=False)
+
+    @property
+    def failed(self) -> bool:
+        """True when the check ran, judged, and found a violation."""
+        return not self.skipped and not self.passed
 
 
 class CheckContext:
@@ -96,17 +104,13 @@ class CheckContext:
     family_trace:
         ``(scenario, duration, bin_width, rng) -> np.ndarray``; samples a
         binned rate trace from the scenario's *generating family* at
-        matched moments.  The default dispatches ``family == "renewal"``
-        through the ``rate_trace`` hook (so renewal-family injections
-        keep working) and every other family through
-        :func:`~repro.verify.matched.sample_family_trace`.
-    family_source:
-        ``(scenario, family, duration, bin_width, seed) -> RateSource``;
-        builds the netsim arrival process of ``family`` at the
-        scenario's matched moments.  The
-        default is :func:`~repro.verify.matched.matched_rate_source`;
-        the matched-models injected-bug tests replace it with lying
-        samplers (wrong H, wrong marginal, swapped family).
+        matched moments, for the Hurst-recovery relation and the
+        matched-models oracle.  The default dispatches
+        ``family == "renewal"`` through the ``rate_trace`` hook (so
+        renewal-family injections keep working) and every other family
+        through :func:`~repro.verify.matched.sample_family_trace`; the
+        matched-models injected-bug tests replace it with lying samplers
+        (wrong H, wrong marginal, swapped family).
     """
 
     def __init__(
@@ -116,7 +120,6 @@ class CheckContext:
         solve_batch: Callable[[Sequence[SolveTask]], list[LossRateResult]] | None = None,
         simulate_network: Callable[..., object] | None = None,
         family_trace: Callable[..., np.ndarray] | None = None,
-        family_source: Callable[..., object] | None = None,
     ) -> None:
         self.solve = solve if solve is not None else _inline_solve
         self.rate_trace = rate_trace if rate_trace is not None else _sample_rate_trace
@@ -126,9 +129,6 @@ class CheckContext:
         )
         self.family_trace = (
             family_trace if family_trace is not None else self._dispatch_family_trace
-        )
-        self.family_source = (
-            family_source if family_source is not None else _matched_family_source
         )
 
     def solve_scenario(self, scenario: Scenario, **overrides: object) -> LossRateResult:
@@ -186,14 +186,6 @@ def _inline_simulate(topology, duration: float, warmup: float, seed: int):
     return simulate(topology, duration=duration, warmup=warmup, seed=seed)
 
 
-def _matched_family_source(
-    scenario: Scenario, family: str, duration: float, bin_width: float, seed: int
-):
-    from repro.verify.matched import matched_rate_source
-
-    return matched_rate_source(scenario, family, duration, bin_width, seed)
-
-
 def _sample_rate_trace(
     source: CutoffFluidSource,
     duration: float,
@@ -217,3 +209,15 @@ class VerifyCheck(Protocol):
     def run(self, scenario: Scenario, ctx: CheckContext) -> CheckOutcome:
         """Evaluate the property; must be deterministic given (scenario, ctx)."""
         ...
+
+
+def judge(check: VerifyCheck, scenario: Scenario, ctx: CheckContext) -> CheckOutcome:
+    """The check's verdict on one scenario: run it, or mark it not applicable.
+
+    Every caller that turns a (check, scenario) pair into an outcome (the
+    fuzz runner, the corpus replay, the minimizer and the comparison
+    grid) goes through here.
+    """
+    if not check.applies(scenario):
+        return CheckOutcome.not_applicable(check.name)
+    return check.run(scenario, ctx)

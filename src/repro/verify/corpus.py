@@ -21,9 +21,9 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.verify.checks import CheckContext, VerifyCheck
+from repro.verify.checks import CheckContext, VerifyCheck, judge
 from repro.verify.scenario import Scenario
 
 __all__ = [
@@ -176,7 +176,6 @@ def minimize_scenario(
     check: VerifyCheck,
     ctx: CheckContext,
     max_evaluations: int = 40,
-    still_fails: Callable[[Scenario], bool] | None = None,
 ) -> Scenario:
     """Greedy shrink: keep any simplification under which ``check`` still fails.
 
@@ -184,14 +183,6 @@ def minimize_scenario(
     returned scenario is guaranteed to still fail the check (the original
     is returned unchanged if nothing simpler fails).
     """
-
-    def fails(candidate: Scenario) -> bool:
-        if not check.applies(candidate):
-            return False
-        outcome = check.run(candidate, ctx)
-        return not outcome.skipped and not outcome.passed
-
-    failing = still_fails if still_fails is not None else fails
     current = scenario
     budget = max_evaluations
     improved = True
@@ -204,7 +195,7 @@ def minimize_scenario(
                 continue
             budget -= 1
             try:
-                if failing(candidate):
+                if judge(check, candidate, ctx).failed:
                     current = candidate
                     improved = True
                     break

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.verify.checks import CheckContext, CheckOutcome
+from repro.verify.checks import CheckContext, CheckOutcome, judge
 from repro.verify.scenario import (
     FUZZ_SOLVER_CONFIG,
     MATCHED_FAMILIES,
@@ -51,7 +51,6 @@ __all__ = [
     "ComparisonRow",
     "FamilyTraits",
     "MatchedModelsOracle",
-    "matched_rate_source",
     "run_model_comparison",
     "sample_family_trace",
 ]
@@ -239,37 +238,18 @@ def sample_family_trace(
     return _family_rates(scenario, scenario.family, duration, bin_width, rng)
 
 
-def matched_rate_source(
-    scenario: Scenario,
-    family: str,
-    duration: float,
-    bin_width: float,
-    seed: int,
-):
-    """Netsim arrival process of ``family`` at the scenario's matched moments.
-
-    Returns a pre-binned :class:`~repro.netsim.sources.TraceSource` (a
-    *value*: the same seed replays the same rate path), so independent
-    comparison batches use independent seeds.
-    """
-    from repro.netsim import TraceSource
-
-    rng = np.random.default_rng(seed)
-    rates = _family_rates(scenario, family, duration, bin_width, rng)
-    return TraceSource.from_array(rates, bin_width)
-
-
 class MatchedModelsOracle:
     """The paper's prediction: matched models lose the same traffic.
 
     Realizes the scenario's generating family at matched marginal
-    moments and Hurst parameter, pushes ``batches`` independently seeded
-    traces through the scenario's one-node queue, and compares the
-    simulated loss with the solver's Prop. II.1 bracket:
+    moments and Hurst parameter through the ``family_trace`` hook, pushes
+    ``batches`` independently seeded traces through the scenario's
+    one-node queue, and compares the simulated loss with the solver's
+    Prop. II.1 bracket:
 
-    * exact-marginal families (``mmpp``) must land their 99 % batch-mean
-      confidence band inside the slack-widened bracket, like the netsim
-      oracle;
+    * exact-marginal families (``mmpp``) must overlap the slack-widened
+      bracket with their 99 % batch-mean confidence band, as in the Monte
+      Carlo oracle;
     * two-moment families (``fgn``, ``farima``, ``onoff``, ``mginf``)
       share only the first two moments with the scenario's marginal, so
       they are held to an order-of-magnitude criterion
@@ -280,31 +260,24 @@ class MatchedModelsOracle:
     (``cutoff >= horizon_cover * normalized_buffer`` or an infinite
     cutoff); beyond it the paper itself predicts divergence, so those
     cases are out of the oracle's domain rather than failures.
+
+    ``batches`` is the one setting (``repro compare --batches``); every
+    tolerance is a fixed class attribute.
     """
 
     name = "matched_models"
     kind = "oracle"
     expensive = True
+    horizon_epochs = 2000
+    warmup_epochs = 400
+    z_score = 2.58
+    min_loss = 3e-3
+    slack = 0.5
+    max_log10_ratio = 2.5
+    horizon_cover = 1.0
 
-    def __init__(
-        self,
-        batches: int = 4,
-        horizon_epochs: int = 2000,
-        warmup_epochs: int = 400,
-        z_score: float = 2.58,
-        min_loss: float = 3e-3,
-        slack: float = 0.5,
-        max_log10_ratio: float = 2.5,
-        horizon_cover: float = 1.0,
-    ) -> None:
+    def __init__(self, batches: int = 4) -> None:
         self.batches = batches
-        self.horizon_epochs = horizon_epochs
-        self.warmup_epochs = warmup_epochs
-        self.z_score = z_score
-        self.min_loss = min_loss
-        self.slack = slack
-        self.max_log10_ratio = max_log10_ratio
-        self.horizon_cover = horizon_cover
 
     def applies(self, scenario: Scenario) -> bool:
         if scenario.family not in MATCHED_FAMILIES:
@@ -337,7 +310,7 @@ class MatchedModelsOracle:
             return CheckOutcome.skip(
                 self.name, f"loss below comparison resolution ({result.upper:.2e})"
             )
-        mean, half_width = self._simulate_family(scenario, scenario.family, ctx)
+        mean, half_width = self._simulate_family(scenario, ctx)
         traits = FAMILY_TRAITS[scenario.family]
         estimate = max(result.estimate, 1e-300)
         ratio = math.log10(max(mean, 1e-300) / estimate)
@@ -366,10 +339,10 @@ class MatchedModelsOracle:
             )
         return CheckOutcome.ok(self.name, **details)
 
-    def _simulate_family(
-        self, scenario: Scenario, family: str, ctx: CheckContext
-    ) -> tuple[float, float]:
-        """Batch-mean loss and 99 % half-width of one family's queue."""
+    def _simulate_family(self, scenario: Scenario, ctx: CheckContext) -> tuple[float, float]:
+        """Batch-mean loss and 99 % half-width of the scenario family's queue."""
+        from repro.netsim import TraceSource
+
         mean_epoch = scenario.source.mean_interval
         duration = self.horizon_epochs * mean_epoch
         warmup = self.warmup_epochs * mean_epoch
@@ -377,10 +350,12 @@ class MatchedModelsOracle:
         seeds = ctx.rng(scenario, salt=5).integers(0, 1 << 62, size=self.batches)
         losses = []
         for seed in seeds:
-            rate_source = ctx.family_source(
-                scenario, family, duration, bin_width, int(seed)
+            rates = ctx.family_trace(
+                scenario, duration, bin_width, np.random.default_rng(int(seed))
             )
-            topology = netsim_single_queue(scenario, rate_source)
+            topology = netsim_single_queue(
+                scenario, TraceSource.from_array(rates, bin_width)
+            )
             sim = ctx.simulate_network(
                 topology, duration=duration, warmup=warmup, seed=int(seed)
             )
@@ -390,6 +365,9 @@ class MatchedModelsOracle:
             self.z_score * sample.std(ddof=1) / math.sqrt(sample.size)
         )
         return float(sample.mean()), half_width
+
+
+_UNJUDGED = ("skip", "n/a")  # the oracle declined, or the cell is outside its domain
 
 
 @dataclass(frozen=True)
@@ -404,7 +382,7 @@ class ComparisonRow:
     sim_loss: float
     sim_half_width: float
     log10_ratio: float
-    verdict: str  # "agree" | "DIVERGE" | "skip"
+    verdict: str  # "agree" | "DIVERGE" | "skip" | "n/a"
     message: str = ""
 
 
@@ -436,7 +414,7 @@ class ComparisonReport:
         ]
         for row in self.rows:
             bracket = f"[{row.solver_lower:.3e}, {row.solver_upper:.3e}]"
-            if row.verdict == "skip":
+            if row.verdict in _UNJUDGED:
                 simulated = "-"
                 decades = "-"
             else:
@@ -446,7 +424,7 @@ class ComparisonReport:
                 f"{row.normalized_buffer:>10.4g}  {row.family:<8} "
                 f"{bracket:<24} {simulated:<20} {decades:>6}  {row.verdict}"
             )
-        judged = sum(1 for row in self.rows if row.verdict != "skip")
+        judged = sum(1 for row in self.rows if row.verdict not in _UNJUDGED)
         diverged = sum(1 for row in self.rows if row.verdict == "DIVERGE")
         lines.append(
             f"{len(self.rows)} cells, {judged} judged, {diverged} diverged"
@@ -470,7 +448,9 @@ def run_model_comparison(
     :class:`~repro.verify.scenario.Scenario` (deterministically seeded
     off ``seed``), runs it through :class:`MatchedModelsOracle`, and
     records the solver bracket, the family's simulated loss band and the
-    agree/diverge verdict.  Pass a ``ctx`` whose ``solve`` routes through
+    verdict: ``agree``/``DIVERGE`` for a judged cell, ``skip`` when the
+    oracle declined (loss below its resolution) and ``n/a`` when the cell
+    lies outside its domain.  Pass a ``ctx`` whose ``solve`` routes through
     a cached engine so the per-buffer solver bracket is computed once,
     not once per family.
     """
@@ -500,12 +480,9 @@ def run_model_comparison(
                 regime="compare",
                 family=family,
             )
-            if not oracle.applies(scenario):
-                outcome = CheckOutcome.skip(oracle.name, "not applicable")
-            else:
-                outcome = oracle.run(scenario, ctx)
+            outcome = judge(oracle, scenario, ctx)
             details = outcome.details
-            if outcome.skipped:
+            if not outcome.applicable or outcome.skipped:
                 solved = ctx.solve_scenario(scenario)
                 report.rows.append(
                     ComparisonRow(
@@ -517,7 +494,7 @@ def run_model_comparison(
                         sim_loss=float("nan"),
                         sim_half_width=float("nan"),
                         log10_ratio=float("nan"),
-                        verdict="skip",
+                        verdict="skip" if outcome.applicable else "n/a",
                         message=outcome.message,
                     )
                 )
@@ -532,7 +509,7 @@ def run_model_comparison(
                     sim_loss=float(details["sim_mean"]),
                     sim_half_width=float(details["sim_half_width"]),
                     log10_ratio=float(details["log10_ratio"]),
-                    verdict="agree" if outcome.passed else "DIVERGE",
+                    verdict="DIVERGE" if outcome.failed else "agree",
                     message=outcome.message,
                 )
             )

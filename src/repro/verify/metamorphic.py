@@ -55,12 +55,8 @@ class BufferMonotonicityRelation:
     name = "buffer_monotone"
     kind = "metamorphic"
     expensive = False
-
-    def __init__(self, factor: float = 2.0, tolerance: float = 1e-9) -> None:
-        if factor <= 1.0:
-            raise ValueError(f"factor must be > 1, got {factor}")
-        self.factor = factor
-        self.tolerance = tolerance
+    factor = 2.0
+    tolerance = 1e-9
 
     def applies(self, scenario: Scenario) -> bool:
         return scenario.normalized_buffer > 0.0
@@ -90,12 +86,8 @@ class ServiceMonotonicityRelation:
     name = "service_monotone"
     kind = "metamorphic"
     expensive = False
-
-    def __init__(self, factor: float = 0.8, tolerance: float = 1e-9) -> None:
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must lie in (0, 1), got {factor}")
-        self.factor = factor
-        self.tolerance = tolerance
+    factor = 0.8
+    tolerance = 1e-9
 
     def applies(self, scenario: Scenario) -> bool:
         return True
@@ -124,21 +116,16 @@ class RateRelabelInvarianceRelation:
     the rates in different units — ``lambda_i -> k lambda_i`` while
     holding utilization and normalized buffer fixed, so the service rate
     and buffer relabel along — must reproduce the same bounds up to float
-    round-off.  ``k`` defaults to a power of two so even the round-off
+    round-off.  ``k`` (``scale``) is a power of two so even the round-off
     mostly cancels.
     """
 
     name = "relabel_invariance"
     kind = "metamorphic"
     expensive = False
-
-    def __init__(self, scale: float = 2.0, rel_tol: float = 1e-6,
-                 abs_tol: float = 1e-10) -> None:
-        if scale <= 0.0 or abs(scale - 1.0) < 1e-12:
-            raise ValueError(f"scale must be positive and != 1, got {scale}")
-        self.scale = scale
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
+    scale = 2.0
+    rel_tol = 1e-6
+    abs_tol = 1e-10
 
     def applies(self, scenario: Scenario) -> bool:
         return True
@@ -180,24 +167,12 @@ class ShuffleInvarianceRelation:
     name = "shuffle_beyond_horizon"
     kind = "metamorphic"
     expensive = True
-
-    def __init__(
-        self,
-        block_factor: float = 1.5,
-        trace_bins: int = 6000,
-        min_blocks: int = 20,
-        min_loss: float = 1e-3,
-        rel_tol: float = 0.35,
-        abs_tol: float = 2e-3,
-    ) -> None:
-        if block_factor <= 0.0:
-            raise ValueError(f"block_factor must be positive, got {block_factor}")
-        self.block_factor = block_factor
-        self.trace_bins = trace_bins
-        self.min_blocks = min_blocks
-        self.min_loss = min_loss
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
+    block_factor = 1.5
+    trace_bins = 6000
+    min_blocks = 20
+    min_loss = 1e-3
+    rel_tol = 0.35
+    abs_tol = 2e-3
 
     def applies(self, scenario: Scenario) -> bool:
         source = scenario.source
@@ -265,10 +240,8 @@ class HurstRecoveryRelation:
     name = "hurst_recovery"
     kind = "metamorphic"
     expensive = True
-
-    def __init__(self, trace_bins: int = 8192, tolerance: float = 0.2) -> None:
-        self.trace_bins = trace_bins
-        self.tolerance = tolerance
+    trace_bins = 8192
+    tolerance = 0.2
 
     def applies(self, scenario: Scenario) -> bool:
         band = FAMILY_TRAITS[scenario.family].hurst_alpha_band

@@ -68,12 +68,9 @@ class SpectralDirectOracle:
     name = "spectral_vs_direct"
     kind = "oracle"
     expensive = False
-
-    def __init__(self, iterations: int = 256, rel_tol: float = 1e-5,
-                 abs_tol: float = 1e-9) -> None:
-        self.iterations = iterations
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
+    iterations = 256
+    rel_tol = 1e-5
+    abs_tol = 1e-9
 
     def applies(self, scenario: Scenario) -> bool:
         return _has_loss_path(scenario)
@@ -127,14 +124,8 @@ class BatchedSoloOracle:
     name = "batched_vs_solo"
     kind = "oracle"
     expensive = False
-
-    def __init__(
-        self, iterations: int = 192, buffer_factors: tuple[float, ...] = (1.0, 1.25, 1.5)
-    ) -> None:
-        if len(buffer_factors) < 2:
-            raise ValueError("buffer_factors needs >= 2 members to form a batch")
-        self.iterations = iterations
-        self.buffer_factors = buffer_factors
+    iterations = 192
+    buffer_factors = (1.0, 1.25, 1.5)
 
     def applies(self, scenario: Scenario) -> bool:
         return _has_loss_path(scenario) and scenario.normalized_buffer > 0.0
@@ -211,10 +202,8 @@ class BoundOrderingOracle:
     name = "bound_ordering"
     kind = "oracle"
     expensive = False
-
-    def __init__(self, iterations: int = 192, tolerance: float = 1e-9) -> None:
-        self.iterations = iterations
-        self.tolerance = tolerance
+    iterations = 192
+    tolerance = 1e-9
 
     def applies(self, scenario: Scenario) -> bool:
         return _has_loss_path(scenario)
@@ -276,22 +265,12 @@ class MonteCarloOracle:
     name = "solver_vs_monte_carlo"
     kind = "oracle"
     expensive = True
-
-    def __init__(
-        self,
-        batches: int = 6,
-        intervals: int = 4000,
-        warmup: int = 800,
-        z_score: float = 2.58,
-        min_loss: float = 1e-4,
-        slack: float = 0.25,
-    ) -> None:
-        self.batches = batches
-        self.intervals = intervals
-        self.warmup = warmup
-        self.z_score = z_score
-        self.min_loss = min_loss
-        self.slack = slack
+    batches = 6
+    intervals = 4000
+    warmup = 800
+    z_score = 2.58
+    min_loss = 1e-4
+    slack = 0.25
 
     def applies(self, scenario: Scenario) -> bool:
         return _has_loss_path(scenario)
@@ -366,13 +345,9 @@ class NetSimSolverOracle:
     name = "netsim_vs_solver"
     kind = "oracle"
     expensive = True
-
-    def __init__(
-        self, intervals: int = 3000, rel_tol: float = 1e-9, loss_floor: float = 1e-12
-    ) -> None:
-        self.intervals = intervals
-        self.rel_tol = rel_tol
-        self.loss_floor = loss_floor
+    intervals = 3000
+    rel_tol = 1e-9
+    loss_floor = 1e-12
 
     def applies(self, scenario: Scenario) -> bool:
         return _has_loss_path(scenario)
@@ -434,18 +409,10 @@ class MarkovEquivalenceOracle:
     name = "solver_vs_markov"
     kind = "oracle"
     expensive = True
-
-    def __init__(
-        self,
-        phases: int = 10,
-        max_levels: int = 6,
-        min_loss: float = 1e-5,
-        max_log10_ratio: float = 1.0,
-    ) -> None:
-        self.phases = phases
-        self.max_levels = max_levels
-        self.min_loss = min_loss
-        self.max_log10_ratio = max_log10_ratio
+    phases = 10
+    max_levels = 6
+    min_loss = 1e-5
+    max_log10_ratio = 1.0
 
     def applies(self, scenario: Scenario) -> bool:
         law = scenario.source.interarrival

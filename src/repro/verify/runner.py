@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.verify.checks import CheckContext, CheckOutcome, VerifyCheck
+from repro.verify.checks import CheckContext, CheckOutcome, VerifyCheck, judge
 from repro.verify.corpus import FailureCorpus, FailureRecord, minimize_scenario
 from repro.verify.matched import MatchedModelsOracle
 from repro.verify.metamorphic import (
@@ -78,7 +78,7 @@ class CaseResult:
 
     @property
     def failures(self) -> tuple[CheckOutcome, ...]:
-        return tuple(o for o in self.outcomes if not o.skipped and not o.passed)
+        return tuple(o for o in self.outcomes if o.failed)
 
 
 @dataclass
@@ -204,13 +204,8 @@ def _run_case(
     if expensive:
         # Deterministic rotation: case i pays for exactly one slow check.
         battery.append(expensive[index % len(expensive)])
-    outcomes = []
-    for check in battery:
-        if not check.applies(scenario):
-            outcomes.append(CheckOutcome.not_applicable(check.name))
-            continue
-        outcomes.append(check.run(scenario, ctx))
-    return CaseResult(index=index, scenario=scenario, outcomes=tuple(outcomes))
+    outcomes = tuple(judge(check, scenario, ctx) for check in battery)
+    return CaseResult(index=index, scenario=scenario, outcomes=outcomes)
 
 
 def _handle_failures(
@@ -329,12 +324,9 @@ def run_corpus(
             continue  # check battery changed; stale record
         scenario = record.restore_scenario()
         report.cases += 1
-        if not check.applies(scenario):
-            outcome = CheckOutcome.not_applicable(check.name, "no longer applicable")
-        else:
-            outcome = check.run(scenario, ctx)
+        outcome = judge(check, scenario, ctx)
         report.record(outcome)
-        if not outcome.skipped and not outcome.passed:
+        if outcome.failed:
             report.failures.append(
                 FailureRecord(
                     check=record.check,

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
 from repro.exec import SweepEngine
-from repro.serve import QueryService, ServeClient, ServeError, make_server
+from repro.serve import QueryService, ServeClient, ServeError, httpd, make_server
 
 QUICK = {"hurst": 0.7, "cutoff": 2.0, "buffer": 0.3,
          "initial_bins": 32, "max_bins": 64, "relative_gap": 0.5}
@@ -104,6 +106,38 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+
+def _reply(sock: socket.socket) -> bytes:
+    """Everything the server sends before it closes the connection."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass  # closed with part of the request unread
+    return b"".join(chunks)
+
+
+class TestSlowAndOversizedClients:
+    def test_header_line_beyond_the_stream_limit_is_400(self, server, monkeypatch):
+        # 100 KiB in one line overruns the stream reader's 64 KiB line limit.
+        monkeypatch.setattr(httpd, "_IDLE_TIMEOUT_S", 2.0)
+        big = b"X-Big: " + b"a" * (100 << 10) + b"\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n" + big + b"\r\n")
+            reply = _reply(sock)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"oversized request headers" in reply
+
+    def test_stalled_body_is_dropped_after_the_idle_timeout(self, server, monkeypatch):
+        monkeypatch.setattr(httpd, "_IDLE_TIMEOUT_S", 0.5)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            # Content-Length promises 50 bytes; only 9 ever arrive.
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"kind\": ")
+            started = time.monotonic()
+            assert _reply(sock) == b""
+        assert time.monotonic() - started < 5.0
 
 
 class TestShutdown:

@@ -14,7 +14,6 @@ from dataclasses import replace
 from typing import Callable
 
 import numpy as np
-import pytest
 
 from repro.core.marginal import DiscreteMarginal
 from repro.core.results import LossRateResult
@@ -36,7 +35,7 @@ from repro.verify import (
     ServiceMonotonicityRelation,
     ShuffleInvarianceRelation,
     SpectralDirectOracle,
-    matched_rate_source,
+    sample_family_trace,
 )
 
 
@@ -203,19 +202,14 @@ def test_matched_models_fires_on_wrong_marginal_mmpp(lossy_scenario):
     # A lying MMPP generator whose rates run 30 % hot: the marginal no
     # longer matches the scenario's, the offered load inflates, and the
     # exact-marginal confidence-band criterion must catch it.
-    from repro.netsim import TraceSource
-
     scenario = replace(lossy_scenario, family="mmpp", normalized_buffer=1.0)
     check = MatchedModelsOracle()
     assert_honest_pass(check, scenario)
 
-    def hot_marginal(scen, family, duration, bin_width, seed):
-        honest = matched_rate_source(scen, family, duration, bin_width, seed)
-        return TraceSource.from_array(
-            np.asarray(honest.rates) * 1.3, honest.bin_width
-        )
+    def hot_marginal(scen, duration, bin_width, rng):
+        return sample_family_trace(scen, duration, bin_width, rng) * 1.3
 
-    assert_fires(check, scenario, CheckContext(family_source=hot_marginal))
+    assert_fires(check, scenario, CheckContext(family_trace=hot_marginal))
 
 
 def test_matched_models_fires_on_wrong_hurst_ladder(lossy_scenario):
@@ -223,14 +217,13 @@ def test_matched_models_fires_on_wrong_hurst_ladder(lossy_scenario):
     # the target Hurst parameter, but its generated correlation extends
     # 50x beyond the declared horizon, so bursts persist across the
     # buffer's time scale and the loss inflates past the bracket.
-    from repro.netsim import TraceSource
     from repro.traffic import MarkovModulatedSource, mmpp_rates
 
     scenario = replace(lossy_scenario, family="mmpp", normalized_buffer=1.0)
     check = MatchedModelsOracle()
     assert_honest_pass(check, scenario)
 
-    def slow_ladder(scen, family, duration, bin_width, seed):
+    def slow_ladder(scen, duration, bin_width, rng):
         honest = MarkovModulatedSource.from_source(scen.source)
         lying = MarkovModulatedSource(
             marginal=honest.marginal,
@@ -239,11 +232,9 @@ def test_matched_models_fires_on_wrong_hurst_ladder(lossy_scenario):
             target_hurst=honest.target_hurst,
             horizon=honest.horizon,
         )
-        rng = np.random.default_rng(seed)
-        rates = mmpp_rates(lying, duration, bin_width, rng)
-        return TraceSource.from_array(rates, bin_width)
+        return mmpp_rates(lying, duration, bin_width, rng)
 
-    assert_fires(check, scenario, CheckContext(family_source=slow_ladder))
+    assert_fires(check, scenario, CheckContext(family_trace=slow_ladder))
 
 
 def test_matched_models_fires_on_family_swap(lossy_scenario):
@@ -261,10 +252,10 @@ def test_matched_models_fires_on_family_swap(lossy_scenario):
     check = MatchedModelsOracle()
     assert_honest_pass(check, scenario)
 
-    def swapped(scen, family, duration, bin_width, seed):
-        return matched_rate_source(scen, "onoff", duration, bin_width, seed)
+    def swapped(scen, duration, bin_width, rng):
+        return sample_family_trace(replace(scen, family="onoff"), duration, bin_width, rng)
 
-    assert_fires(check, scenario, CheckContext(family_source=swapped))
+    assert_fires(check, scenario, CheckContext(family_trace=swapped))
 
 
 def test_matched_models_tolerates_a_pure_hurst_swap(lossy_scenario):
@@ -272,24 +263,21 @@ def test_matched_models_tolerates_a_pure_hurst_swap(lossy_scenario):
     # alone, at a matched marginal and mean sojourn, moves the loss so
     # little inside the horizon that the oracle keeps passing.  Only the
     # time-scale distortions above are detectable.
-    from repro.netsim import TraceSource
     from repro.traffic import MarkovModulatedSource, mmpp_rates
 
     scenario = replace(lossy_scenario, family="mmpp", normalized_buffer=1.0)
 
-    def swapped_hurst(scen, family, duration, bin_width, seed):
+    def swapped_hurst(scen, duration, bin_width, rng):
         model = MarkovModulatedSource.from_hurst(
             scen.source.marginal,
             hurst=0.52,
             mean_interval=scen.source.mean_interval,
             horizon=scen.source.cutoff,
         )
-        rng = np.random.default_rng(seed)
-        rates = mmpp_rates(model, duration, bin_width, rng)
-        return TraceSource.from_array(rates, bin_width)
+        return mmpp_rates(model, duration, bin_width, rng)
 
     outcome = MatchedModelsOracle().run(
-        scenario, CheckContext(family_source=swapped_hurst)
+        scenario, CheckContext(family_trace=swapped_hurst)
     )
     assert not outcome.skipped and outcome.passed
 
@@ -393,9 +381,3 @@ def test_every_default_check_is_covered():
         "matched_models",
     }
     assert {check.name for check in default_checks()} == covered
-
-
-@pytest.mark.parametrize("factor", [1.0, 0.5])
-def test_buffer_monotonicity_rejects_bad_factor(factor):
-    with pytest.raises(ValueError):
-        BufferMonotonicityRelation(factor=factor)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.marginal import DiscreteMarginal
+from repro.core.results import LossRateResult
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.verify import (
@@ -170,7 +171,31 @@ def test_oracle_skips_below_resolution(lossy_scenario):
     assert outcome.skipped
 
 
-def test_comparison_report_table_and_ok():
+def test_comparison_report_table_and_ok(lossy_scenario):
+    def tiny_solve(task):
+        return LossRateResult(
+            lower=1e-12, upper=1e-9, iterations=1, bins=task.config.initial_bins,
+            converged=True, negligible=False,
+        )
+
+    # Inside the horizon the oracle declines (loss below its resolution):
+    # "skip".  A buffer beyond the 2 s cutoff is outside its domain: "n/a".
+    grid = run_model_comparison(
+        lossy_scenario.source,
+        utilization=0.9,
+        buffers=[0.1, 5.0],
+        families=("fgn", "mmpp"),
+        config=FUZZ_SOLVER_CONFIG,
+        ctx=CheckContext(solve=tiny_solve),
+    )
+    assert [row.verdict for row in grid.rows] == ["skip", "skip", "n/a", "n/a"]
+    assert grid.rows[2].message == "not applicable"
+    assert grid.ok
+    table = grid.format_table()
+    assert "4 cells, 0 judged, 0 diverged" in table
+    for line, row in zip(table.splitlines()[3:], grid.rows):
+        assert line.endswith(f"-  {row.verdict}")
+
     report = ComparisonReport(
         rows=[
             ComparisonRow(
@@ -178,21 +203,17 @@ def test_comparison_report_table_and_ok():
                 solver_lower=0.1, solver_upper=0.12, sim_loss=0.11,
                 sim_half_width=0.01, log10_ratio=0.0, verdict="agree",
             ),
-            ComparisonRow(
-                family="fgn", utilization=0.9, normalized_buffer=0.1,
-                solver_lower=0.1, solver_upper=0.12, sim_loss=float("nan"),
-                sim_half_width=float("nan"), log10_ratio=float("nan"),
-                verdict="skip", message="not applicable",
-            ),
+            *grid.rows,
         ],
         meta={"utilization": 0.9, "seed": 0},
     )
     assert report.ok
     table = report.format_table()
     assert "solver bracket" in table and "verdict" in table
-    assert "2 cells, 1 judged, 0 diverged" in table
+    assert "5 cells, 1 judged, 0 diverged" in table
     report.rows.append(replace(report.rows[0], family="onoff", verdict="DIVERGE"))
     assert not report.ok
+    assert "6 cells, 2 judged, 1 diverged" in report.format_table()
 
 
 # --------------------------------------------------------------------- #
@@ -235,7 +256,7 @@ def test_run_model_comparison_five_family_cell(lossy_scenario):
     )
     assert [row.family for row in report.rows] == list(MATCHED_FAMILIES)
     assert report.ok, report.format_table()
-    judged = [row for row in report.rows if row.verdict != "skip"]
+    judged = [row for row in report.rows if row.verdict in ("agree", "DIVERGE")]
     assert judged, "at least one family must be judged at this cell"
     for row in judged:
         assert math.isfinite(row.log10_ratio)
