@@ -23,7 +23,7 @@ from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.experiments.reporting import format_series
-from repro.experiments.sweeps import sweep_cutoff
+from repro.experiments.sweeps import plan_cutoff, run_plan
 from repro.queueing.cts import dominant_time_scale
 
 UTILIZATION = 0.85
@@ -41,8 +41,8 @@ def test_ablation_horizon_estimators(benchmark):
     def run():
         empirical, eq26, clt, norros, cts = [], [], [], [], []
         for buffer_seconds in BUFFERS:
-            _, losses = sweep_cutoff(
-                source, UTILIZATION, float(buffer_seconds), CUTOFFS
+            _, losses = run_plan(
+                plan_cutoff(source, UTILIZATION, float(buffer_seconds), CUTOFFS)
             ).row_series(0)
             empirical.append(empirical_horizon(CUTOFFS, losses, relative_band=0.25))
             buffer_size = buffer_seconds * service_rate

@@ -44,7 +44,7 @@ from repro.core.workload import WorkloadLaw
 from repro.exec import ProcessPoolBackend, SolveTask, SweepEngine
 from repro.experiments import paperconfig
 from repro.experiments.reporting import format_mapping, format_series
-from repro.experiments.sweeps import sweep_buffer_cutoff
+from repro.experiments.sweeps import plan_buffer_cutoff, run_plan
 
 BINS = np.array([256, 512, 1024, 2048, 4096])
 STEPS = 12
@@ -289,10 +289,10 @@ def test_perf_engine_parallel(benchmark):
 
     def timed_sweep(engine: SweepEngine) -> tuple[np.ndarray, float]:
         start = time.perf_counter()
-        surface = sweep_buffer_cutoff(
-            source, paperconfig.MTV_UTILIZATION, buffers, cutoffs,
-            config=_SWEEP_CONFIG, engine=engine,
+        plan = plan_buffer_cutoff(
+            source, paperconfig.MTV_UTILIZATION, buffers, cutoffs, config=_SWEEP_CONFIG
         )
+        surface = run_plan(plan, engine)
         return surface.losses, time.perf_counter() - start
 
     def run():

@@ -22,7 +22,7 @@ from repro.core.horizon import (
     norros_horizon,
 )
 from repro.experiments.reporting import format_series
-from repro.experiments.sweeps import sweep_cutoff
+from repro.experiments.sweeps import plan_cutoff, run_plan
 from repro.queueing.cts import dominant_time_scale
 from repro.traffic.video import synthesize_mtv_trace
 
@@ -43,7 +43,8 @@ def main() -> None:
     rows: dict[str, np.ndarray] = {}
     horizons: dict[float, dict[str, float]] = {}
     for buffer_seconds in BUFFERS_SECONDS:
-        _, losses = sweep_cutoff(source, UTILIZATION, buffer_seconds, CUTOFFS).row_series(0)
+        plan = plan_cutoff(source, UTILIZATION, buffer_seconds, CUTOFFS)
+        _, losses = run_plan(plan).row_series(0)
         rows[f"loss@B={buffer_seconds:g}s"] = losses
         buffer_size = buffer_seconds * service_rate
         reference = source.with_cutoff(float(CUTOFFS[-1]))

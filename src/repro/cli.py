@@ -56,9 +56,8 @@ Subcommands
     simulator, and prints an ascii table of simulated loss against the
     solver bracket per (buffer, family) cell — the paper's claim that
     models agreeing inside the correlation horizon predict the same
-    loss.  The grid is declared through the Experiment DSL and its
-    solver side runs through the cached engine.  Exits 1 if any judged
-    cell diverges.
+    loss.  The solver side runs through the cached engine.  Exits 1 if
+    any judged cell diverges, and 2 on an unknown ``--family``.
 
 Execution-engine flags (``figure`` and ``solve``)
 -------------------------------------------------
@@ -160,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lru-entries", type=int, default=None, metavar="N",
-        help="in-memory LRU result-tier entry bound "
-             "(default: the solve cache's hint, else 4096)",
+        help="in-memory LRU result-tier entry bound (default: 4096)",
     )
     serve.add_argument(
         "--lru-bytes", type=int, default=None, metavar="BYTES",
@@ -385,7 +383,7 @@ def _print_engine_summary(engine: "SweepEngine") -> None:
 def _run_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query service until interrupted, then drain."""
     from repro.exec import SolveCache, SweepEngine, resolve_backend
-    from repro.serve import QueryService, make_server
+    from repro.serve import DEFAULT_LRU_ENTRIES, QueryService, make_server
 
     if args.no_cache:
         cache = None
@@ -403,7 +401,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         batch_delay_s=args.batch_delay,
         max_queue=args.max_queue,
         default_timeout_s=args.timeout,
-        lru_entries=args.lru_entries,
+        lru_entries=DEFAULT_LRU_ENTRIES if args.lru_entries is None else args.lru_entries,
         lru_bytes=args.lru_bytes,
     )
     server = make_server(args.host, args.port, service)
@@ -495,6 +493,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     """Run the matched-moment family grid; exit 0 only when every cell agrees."""
+    from repro.experiments.sweeps import plan_buffer_cutoff
     from repro.verify import (
         FUZZ_SOLVER_CONFIG,
         MATCHED_FAMILIES,
@@ -502,30 +501,34 @@ def _run_compare(args: argparse.Namespace) -> int:
         MatchedModelsOracle,
         run_model_comparison,
     )
-    from repro.experiments import Experiment
 
     source = _onoff_source(args)
-    experiment = Experiment("compare", "matched-moment model comparison")
-    experiment.source = source
-    experiment.utilization = args.utilization
-    experiment.config = FUZZ_SOLVER_CONFIG
-    experiment.seed = args.seed
-    try:
-        with experiment.new_group("grid") as group:
-            group.buffers = list(args.buffers or (0.1, 0.5))
-            group.families = list(args.families or MATCHED_FAMILIES)
-    except ValueError as error:
-        print(f"repro-lrd: {error}", file=sys.stderr)
+    buffers = list(args.buffers or (0.1, 0.5))
+    families = tuple(args.families or MATCHED_FAMILIES)
+    unknown = sorted(set(families) - set(MATCHED_FAMILIES))
+    if unknown:
+        print(
+            f"repro-lrd: unknown families {unknown} (available: {list(MATCHED_FAMILIES)})",
+            file=sys.stderr,
+        )
         return 2
     with _build_engine(args) as engine:
-        # The DSL's solver-side plan warms the cache, so the comparison
-        # runner's per-scenario solves are pure cache hits.
-        engine.run_grid(experiment.compile()["grid"])
-        ctx = CheckContext(solve=engine.solve)
+        # One solver bracket per buffer, shared by every family: solving
+        # them as one batch first makes the comparison's solves cache hits.
+        engine.run_grid(
+            plan_buffer_cutoff(
+                source, args.utilization, buffers, [source.cutoff], FUZZ_SOLVER_CONFIG
+            )
+        )
         report = run_model_comparison(
-            ctx=ctx,
+            source,
+            args.utilization,
+            buffers,
+            families,
+            FUZZ_SOLVER_CONFIG,
+            ctx=CheckContext(solve=engine.solve),
+            seed=args.seed,
             oracle=MatchedModelsOracle(batches=args.batches),
-            **experiment.comparison(),
         )
         text = report.format_table()
         print(text)

@@ -95,42 +95,19 @@ class SolveCache:
     record by its key alone; a record is decoded only when a lookup first
     hits it, then kept in memory.  Writes append both in memory and on
     disk.  So a warm rerun of any sweep costs one file read plus the
-    decoding of its own cells, not of every entry the file holds.
-
-    ``max_entries``/``max_bytes`` are *advisory* sizing hints surfaced in
-    :meth:`file_stats`, not enforced bounds — the store itself stays
-    append-only (:meth:`compact` reclaims stale lines).  The serving
-    layer's in-memory :class:`~repro.serve.lru.MemoryLRU` tier reads them
-    at :class:`~repro.serve.service.QueryService` construction so both
-    result tiers are dimensioned from this one config: the LRU bounds its
-    entry count/byte budget by these values, evicts by recency, and falls
-    through to this disk store (via the engine) on a miss.
+    decoding of its own cells, not of every entry the file holds.  The
+    store is unbounded and append-only; :meth:`compact` reclaims stale
+    lines.
 
     An instance may be shared between threads: every method runs under
     one lock, so the file is read at most once per instance.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike[str] | None = None,
-        *,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike[str] | None = None) -> None:
         self.directory = Path(directory) if directory is not None else Path(default_cache_dir())
         if self.directory.exists() and not self.directory.is_dir():
             raise ValueError(f"cache directory {self.directory} is not a directory")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1 or None, got {max_bytes}")
         self.path = self.directory / _CACHE_FILENAME
-        # Advisory sizing hints, not enforced bounds: the disk store is
-        # append-only (compact() reclaims stale lines), but the serving
-        # layer's in-memory LRU tier reads these so both tiers are
-        # dimensioned from one config.
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
@@ -358,8 +335,6 @@ class SolveCache:
                 "file_bytes": index.size,
                 "stale_lines": max(0, index.line_count - index.corrupt - entries),
                 "corrupt_lines": index.corrupt,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
             }
 
 

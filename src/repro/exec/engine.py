@@ -1,7 +1,8 @@
 """The sweep execution engine: cache, backend and telemetry in one place.
 
 The engine is the single chokepoint through which every solver-driven
-grid in the repository runs — the five ``sweep_*`` builders, the figure
+grid in the repository runs — the plans the five ``plan_*`` builders
+make, run by :func:`~repro.experiments.sweeps.run_plan`, the figure
 registry, the CLI and the benchmarks.  Responsibilities:
 
 1. consult the persistent :class:`~repro.exec.cache.SolveCache` (when

@@ -15,7 +15,7 @@ reproduces the legacy outputs bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,31 +122,6 @@ class SweepPlan:
     def shape(self) -> tuple[int, int]:
         """Grid shape ``(rows, cols)``."""
         return (int(self.rows.size), int(self.cols.size))
-
-    @classmethod
-    def from_grid(
-        cls,
-        row_label: str,
-        col_label: str,
-        rows: Sequence[float] | np.ndarray,
-        cols: Sequence[float] | np.ndarray,
-        build_task: Callable[[float, float], SolveTask],
-        meta: dict | None = None,
-    ) -> "SweepPlan":
-        """Expand a 2-D grid into tasks via ``build_task(row_value, col_value)``."""
-        rows = np.asarray(rows, dtype=np.float64)
-        cols = np.asarray(cols, dtype=np.float64)
-        tasks = tuple(
-            build_task(float(r), float(c)) for r in rows for c in cols
-        )
-        return cls(
-            row_label=row_label,
-            col_label=col_label,
-            rows=rows,
-            cols=cols,
-            tasks=tasks,
-            meta=dict(meta or {}),
-        )
 
     def reshape(self, values: Sequence[float]) -> np.ndarray:
         """Arrange per-task values (task order) as the ``(rows, cols)`` grid."""

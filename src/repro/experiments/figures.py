@@ -30,11 +30,12 @@ from repro.exec.engine import SweepEngine
 from repro.experiments import paperconfig
 from repro.experiments.sweeps import (
     LossSurface,
-    sweep_buffer_cutoff,
-    sweep_buffer_scaling,
-    sweep_cutoff,
-    sweep_hurst_scaling,
-    sweep_hurst_superposition,
+    plan_buffer_cutoff,
+    plan_buffer_scaling,
+    plan_cutoff,
+    plan_hurst_scaling,
+    plan_hurst_superposition,
+    run_plan,
 )
 from repro.queueing.fluid_sim import simulate_trace_queue_multi
 from repro.traffic.ethernet import BELLCORE_HURST, synthesize_bellcore_trace
@@ -147,14 +148,14 @@ def fig04_loss_surface_mtv(
     engine: SweepEngine | None = None,
 ) -> LossSurface:
     """Model loss over (normalized buffer, cutoff), MTV at util 0.8 (Fig. 4)."""
-    return sweep_buffer_cutoff(
+    plan = plan_buffer_cutoff(
         source=mtv_source(n_frames),
         utilization=paperconfig.MTV_UTILIZATION,
         buffers=paperconfig.buffer_grid(buffer_points),
         cutoffs=paperconfig.cutoff_grid(cutoff_points),
         config=config,
-        engine=engine,
     )
+    return run_plan(plan, engine)
 
 
 def fig05_loss_surface_bellcore(
@@ -165,14 +166,14 @@ def fig05_loss_surface_bellcore(
     engine: SweepEngine | None = None,
 ) -> LossSurface:
     """Model loss over (normalized buffer, cutoff), Bellcore at util 0.4 (Fig. 5)."""
-    return sweep_buffer_cutoff(
+    plan = plan_buffer_cutoff(
         source=bellcore_source(n_bins),
         utilization=paperconfig.BELLCORE_UTILIZATION,
         buffers=paperconfig.buffer_grid(buffer_points),
         cutoffs=paperconfig.cutoff_grid(cutoff_points),
         config=config,
-        engine=engine,
     )
+    return run_plan(plan, engine)
 
 
 # --------------------------------------------------------------------- #
@@ -311,14 +312,14 @@ def fig09_marginal_comparison(
         ("bellcore", bellcore_trace(n_bins).marginal(paperconfig.HISTOGRAM_BINS)),
     ):
         source = CutoffFluidSource(marginal=marginal, interarrival=law)
-        surface = sweep_cutoff(
+        plan = plan_cutoff(
             source,
             paperconfig.FIG9_UTILIZATION,
             paperconfig.FIG9_NORMALIZED_BUFFER,
             cutoffs,
             config=config,
-            engine=engine,
         )
+        surface = run_plan(plan, engine)
         _, results[name] = surface.row_series(0)
     return MarginalComparison(
         cutoffs=cutoffs, mtv_losses=results["mtv"], bellcore_losses=results["bellcore"]
@@ -345,7 +346,7 @@ def fig10_hurst_vs_scaling(
     ``cutoff=math.inf`` for the verbatim setting.
     """
     trace = mtv_trace(n_frames)
-    return sweep_hurst_scaling(
+    plan = plan_hurst_scaling(
         marginal=trace.marginal(paperconfig.HISTOGRAM_BINS),
         mean_interval=trace.mean_epoch_duration(paperconfig.HISTOGRAM_BINS),
         utilization=paperconfig.MTV_UTILIZATION,
@@ -355,8 +356,8 @@ def fig10_hurst_vs_scaling(
         cutoff=cutoff,
         nominal_hurst=MTV_HURST,
         config=config,
-        engine=engine,
     )
+    return run_plan(plan, engine)
 
 
 def fig11_hurst_vs_superposition(
@@ -370,7 +371,7 @@ def fig11_hurst_vs_superposition(
 ) -> LossSurface:
     """Loss over (H, superposed streams), MTV at util 0.8 (Fig. 11)."""
     trace = mtv_trace(n_frames)
-    return sweep_hurst_superposition(
+    plan = plan_hurst_superposition(
         marginal=trace.marginal(paperconfig.HISTOGRAM_BINS),
         mean_interval=trace.mean_epoch_duration(paperconfig.HISTOGRAM_BINS),
         utilization=paperconfig.MTV_UTILIZATION,
@@ -379,8 +380,8 @@ def fig11_hurst_vs_superposition(
         streams=paperconfig.stream_grid(max_streams, stream_points),
         cutoff=cutoff,
         config=config,
-        engine=engine,
     )
+    return run_plan(plan, engine)
 
 
 # --------------------------------------------------------------------- #
@@ -397,14 +398,14 @@ def fig12_buffer_vs_scaling_mtv(
     engine: SweepEngine | None = None,
 ) -> LossSurface:
     """Loss over (buffer, scaling), MTV at util 0.8 (Fig. 12)."""
-    return sweep_buffer_scaling(
+    plan = plan_buffer_scaling(
         source=mtv_source(n_frames).with_cutoff(cutoff),
         utilization=paperconfig.MTV_UTILIZATION,
         buffers=paperconfig.buffer_grid(buffer_points),
         scalings=paperconfig.scaling_grid(scaling_points),
         config=config,
-        engine=engine,
     )
+    return run_plan(plan, engine)
 
 
 def fig13_buffer_vs_scaling_bellcore(
@@ -416,14 +417,14 @@ def fig13_buffer_vs_scaling_bellcore(
     engine: SweepEngine | None = None,
 ) -> LossSurface:
     """Loss over (buffer, scaling), Bellcore at util 0.4 (Fig. 13)."""
-    return sweep_buffer_scaling(
+    plan = plan_buffer_scaling(
         source=bellcore_source(n_bins).with_cutoff(cutoff),
         utilization=paperconfig.BELLCORE_UTILIZATION,
         buffers=paperconfig.buffer_grid(buffer_points),
         scalings=paperconfig.scaling_grid(scaling_points),
         config=config,
-        engine=engine,
     )
+    return run_plan(plan, engine)
 
 
 # --------------------------------------------------------------------- #

@@ -6,19 +6,19 @@ distribution (scaling factor a or number of superposed streams n) — and
 records the solver's loss estimate per grid cell in a
 :class:`LossSurface`.
 
-Since every cell is an independent ``solve_loss_rate`` call, the sweeps
-are thin :class:`~repro.exec.task.SweepPlan` builders executed through a
-:class:`~repro.exec.engine.SweepEngine`: pass ``engine=`` to run cells on
-a process pool, memoize them in the persistent solve cache, or observe
-per-cell telemetry.  The default engine (serial, no cache) reproduces the
-legacy hand-rolled loops bit for bit.
+Since every cell is an independent ``solve_loss_rate`` call, a sweep is
+built one way and run one way.  A ``plan_*`` builder maps a grid to a
+:class:`~repro.exec.task.SweepPlan` without solving anything, and
+:func:`run_plan` executes it through a
+:class:`~repro.exec.engine.SweepEngine`::
 
-Each ``sweep_*`` function is split into a pure ``plan_*`` builder (the
-grid → :class:`~repro.exec.task.SweepPlan` mapping, no execution) and the
-shared :func:`_execute` step.  The declarative
-:mod:`~repro.experiments.dsl` compiles through the *same* ``plan_*``
-builders, so a DSL experiment and the equivalent hand-rolled sweep are
-bit-identical by construction, not by test luck.
+    surface = run_plan(plan_buffer_cutoff(source, 0.8, buffers, cutoffs), engine)
+
+Pass an engine to run cells on a process pool, memoize them in the
+persistent solve cache, or observe per-cell telemetry.  The default
+engine (serial, no cache) reproduces the hand-rolled loops bit for bit.
+:func:`plan_fingerprint` hashes what a plan computes, so a committed
+golden file can pin the builders' output.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.fingerprint import stable_hash
 from repro.core.marginal import DiscreteMarginal
 from repro.core.solver import SolverConfig
 from repro.core.source import CutoffFluidSource
@@ -40,13 +41,10 @@ __all__ = [
     "plan_buffer_cutoff",
     "plan_buffer_scaling",
     "plan_cutoff",
+    "plan_fingerprint",
     "plan_hurst_scaling",
     "plan_hurst_superposition",
-    "sweep_buffer_cutoff",
-    "sweep_cutoff",
-    "sweep_hurst_scaling",
-    "sweep_hurst_superposition",
-    "sweep_buffer_scaling",
+    "run_plan",
 ]
 
 
@@ -114,8 +112,12 @@ class LossSurface:
             )
 
 
-def _execute(plan: SweepPlan, engine: SweepEngine | None) -> LossSurface:
-    """Run a plan on the given (or a default serial) engine."""
+def run_plan(plan: SweepPlan, engine: SweepEngine | None = None) -> LossSurface:
+    """Run a plan on the given (or a default serial) engine.
+
+    Returns the plan's losses as a :class:`LossSurface` carrying the
+    plan's axes and ``meta``.
+    """
     engine = engine if engine is not None else SweepEngine()
     losses = engine.run_grid(plan)
     return LossSurface(
@@ -154,18 +156,6 @@ def plan_buffer_cutoff(
     )
 
 
-def sweep_buffer_cutoff(
-    source: CutoffFluidSource,
-    utilization: float,
-    buffers: np.ndarray,
-    cutoffs: np.ndarray,
-    config: SolverConfig | None = None,
-    engine: SweepEngine | None = None,
-) -> LossSurface:
-    """Loss over (normalized buffer, cutoff lag) — Figs. 4 and 5."""
-    return _execute(plan_buffer_cutoff(source, utilization, buffers, cutoffs, config), engine)
-
-
 def plan_cutoff(
     source: CutoffFluidSource,
     utilization: float,
@@ -173,7 +163,12 @@ def plan_cutoff(
     cutoffs: np.ndarray,
     config: SolverConfig | None = None,
 ) -> SweepPlan:
-    """Plan for a cutoff sweep at fixed buffer (one-row grid)."""
+    """Plan for a cutoff sweep at fixed buffer — Fig. 9 and CH extraction.
+
+    The plan is a one-row grid (row = the fixed normalized buffer), so
+    cutoff sweeps run and save like their 2-D siblings; unpack the run
+    with ``cutoffs, losses = surface.row_series(0)``.
+    """
     cutoffs = np.asarray(cutoffs, dtype=np.float64)
     tasks = tuple(
         SolveTask(source.with_cutoff(float(cutoff)), utilization, normalized_buffer, config)
@@ -193,26 +188,6 @@ def plan_cutoff(
     )
 
 
-def sweep_cutoff(
-    source: CutoffFluidSource,
-    utilization: float,
-    normalized_buffer: float,
-    cutoffs: np.ndarray,
-    config: SolverConfig | None = None,
-    engine: SweepEngine | None = None,
-) -> LossSurface:
-    """Loss along a cutoff sweep at fixed buffer — Fig. 9 and CH extraction.
-
-    Returns a one-row :class:`LossSurface` (row = the fixed normalized
-    buffer), so cutoff sweeps compose with the same save/plot/execute
-    machinery as their 2-D siblings; unpack with
-    ``cutoffs, losses = surface.row_series(0)``.
-    """
-    return _execute(
-        plan_cutoff(source, utilization, normalized_buffer, cutoffs, config), engine
-    )
-
-
 def plan_hurst_scaling(
     marginal: DiscreteMarginal,
     mean_interval: float,
@@ -224,7 +199,12 @@ def plan_hurst_scaling(
     nominal_hurst: float | None = None,
     config: SolverConfig | None = None,
 ) -> SweepPlan:
-    """Plan for the (Hurst, marginal scaling) grid — Fig. 10."""
+    """Plan for the (Hurst, marginal scaling) grid — Fig. 10.
+
+    Per the paper, theta is calibrated once at the *nominal* Hurst
+    parameter and held fixed while H varies, so the Hurst axis changes
+    only the tail exponent and not the short-range structure.
+    """
     hursts = np.asarray(hursts, dtype=np.float64)
     scalings = np.asarray(scalings, dtype=np.float64)
     if nominal_hurst is None:
@@ -258,33 +238,6 @@ def plan_hurst_scaling(
             "cutoff_s": cutoff,
             "theta": theta,
         },
-    )
-
-
-def sweep_hurst_scaling(
-    marginal: DiscreteMarginal,
-    mean_interval: float,
-    utilization: float,
-    normalized_buffer: float,
-    hursts: np.ndarray,
-    scalings: np.ndarray,
-    cutoff: float = math.inf,
-    nominal_hurst: float | None = None,
-    config: SolverConfig | None = None,
-    engine: SweepEngine | None = None,
-) -> LossSurface:
-    """Loss over (Hurst, marginal scaling) — Fig. 10.
-
-    Per the paper, theta is calibrated once at the *nominal* Hurst
-    parameter and held fixed while H varies, so the Hurst axis changes
-    only the tail exponent and not the short-range structure.
-    """
-    return _execute(
-        plan_hurst_scaling(
-            marginal, mean_interval, utilization, normalized_buffer,
-            hursts, scalings, cutoff, nominal_hurst, config,
-        ),
-        engine,
     )
 
 
@@ -327,27 +280,6 @@ def plan_hurst_superposition(
     )
 
 
-def sweep_hurst_superposition(
-    marginal: DiscreteMarginal,
-    mean_interval: float,
-    utilization: float,
-    normalized_buffer: float,
-    hursts: np.ndarray,
-    streams: np.ndarray,
-    cutoff: float = math.inf,
-    config: SolverConfig | None = None,
-    engine: SweepEngine | None = None,
-) -> LossSurface:
-    """Loss over (Hurst, number of superposed streams) — Fig. 11."""
-    return _execute(
-        plan_hurst_superposition(
-            marginal, mean_interval, utilization, normalized_buffer,
-            hursts, streams, cutoff, config,
-        ),
-        engine,
-    )
-
-
 def plan_buffer_scaling(
     source: CutoffFluidSource,
     utilization: float,
@@ -376,13 +308,18 @@ def plan_buffer_scaling(
     )
 
 
-def sweep_buffer_scaling(
-    source: CutoffFluidSource,
-    utilization: float,
-    buffers: np.ndarray,
-    scalings: np.ndarray,
-    config: SolverConfig | None = None,
-    engine: SweepEngine | None = None,
-) -> LossSurface:
-    """Loss over (normalized buffer, marginal scaling) — Figs. 12 and 13."""
-    return _execute(plan_buffer_scaling(source, utilization, buffers, scalings, config), engine)
+def plan_fingerprint(plan: SweepPlan) -> str:
+    """Content hash of a plan: axes plus every task's solve cache key.
+
+    ``meta`` is deliberately excluded — it is descriptive, can contain
+    non-finite floats, and has no effect on what the engine computes.
+    """
+    payload = {
+        "kind": "sweep_plan",
+        "row_label": plan.row_label,
+        "col_label": plan.col_label,
+        "rows": [float(v).hex() for v in plan.rows],
+        "cols": [float(v).hex() for v in plan.cols],
+        "tasks": [task.cache_key() for task in plan.tasks],
+    }
+    return stable_hash(payload)

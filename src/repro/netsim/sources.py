@@ -14,12 +14,12 @@ Three adapters cover the repo's generator families:
 * :class:`RenewalSource` — the paper's cutoff fluid source itself: i.i.d.
   ``(T_n, lambda_n)`` renewal epochs sampled lazily in chunks; a one-node
   topology fed by it is *exactly* the queue of Eq. 9.
-* :class:`TraceSource` — any pre-binned rate array; constructors wrap
-  the fGn, FARIMA, on/off-aggregate, M/G/∞ and synthetic-trace
-  generators (Gaussian families are clipped at zero, which biases the
-  mean slightly upward — the same convention the shuffle experiments
-  use).  The matched-models oracle feeds its family traces through it.
-  A trace is finite: once exhausted, the last rate holds.
+* :class:`TraceSource` — any pre-binned rate array, such as the output
+  of a ``repro.traffic`` generator, wrapped by
+  :meth:`TraceSource.from_array` (negative rates, which Gaussian families
+  produce, are clipped at zero — the same convention the shuffle
+  experiments use).  The matched-models oracle feeds its family traces
+  through it.  A trace is finite: once exhausted, the last rate holds.
 * :class:`SegmentSource` — explicit ``(durations, rates)`` arrays, the
   adapter that feeds a *known* path through the network: the
   netsim-vs-solver oracle replays one sampled renewal path through it
@@ -28,25 +28,13 @@ Three adapters cover the repo's generator families:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.source import CutoffFluidSource
-from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.validation import check_positive
-from repro.traffic import (
-    MarkovModulatedSource,
-    Trace,
-    aggregate_onoff_rates,
-    d_from_hurst,
-    generate_farima,
-    generate_fgn,
-    mginf_rates,
-    mmpp_rates,
-)
 
 __all__ = [
     "RateSource",
@@ -129,10 +117,10 @@ class RenewalSource(RateSource):
 class TraceSource(RateSource):
     """A binned rate trace as a finite piecewise-constant source.
 
-    The constructors below pre-generate the trace with an explicit seed,
-    so a :class:`TraceSource` is a *value*: simulating the same topology
-    twice replays the identical rate path regardless of the simulator
-    seed (the flow's private stream is simply unused).
+    The trace is generated before the source is built, so a
+    :class:`TraceSource` is a *value*: simulating the same topology twice
+    replays the identical rate path regardless of the simulator seed (the
+    flow's private stream is simply unused).
     """
 
     rates: tuple[float, ...]
@@ -157,103 +145,8 @@ class TraceSource(RateSource):
     def segments(self, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
         return ((self.bin_width, rate) for rate in self.rates)
 
-    # ------------------------------------------------------------------ #
-    # constructors over the repro.traffic generator families
-    # ------------------------------------------------------------------ #
-
     @classmethod
     def from_array(cls, rates: np.ndarray, bin_width: float) -> "TraceSource":
         """Wrap a raw binned rate array (clipped at zero)."""
         clipped = np.clip(np.asarray(rates, dtype=np.float64), 0.0, None)
         return cls(rates=tuple(clipped.tolist()), bin_width=float(bin_width))
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "TraceSource":
-        """Wrap a :class:`~repro.traffic.trace.Trace` (MTV, Bellcore, ...)."""
-        return cls.from_array(trace.rates, trace.bin_width)
-
-    @classmethod
-    def fgn(
-        cls,
-        duration: float,
-        bin_width: float,
-        hurst: float,
-        mean: float,
-        std: float,
-        seed: int,
-    ) -> "TraceSource":
-        """Fractional-Gaussian-noise rates (clipped at zero)."""
-        length = max(2, int(math.ceil(duration / bin_width)))
-        rng = np.random.default_rng(seed)
-        return cls.from_array(
-            generate_fgn(length, hurst, rng, mean=mean, std=std), bin_width
-        )
-
-    @classmethod
-    def farima(
-        cls,
-        duration: float,
-        bin_width: float,
-        hurst: float,
-        mean: float,
-        std: float,
-        seed: int,
-    ) -> "TraceSource":
-        """FARIMA(0, d, 0) rates with ``d = H - 1/2`` (clipped at zero)."""
-        length = max(2, int(math.ceil(duration / bin_width)))
-        rng = np.random.default_rng(seed)
-        return cls.from_array(
-            generate_farima(length, d_from_hurst(hurst), rng, mean=mean, std=std),
-            bin_width,
-        )
-
-    @classmethod
-    def onoff_aggregate(
-        cls,
-        duration: float,
-        bin_width: float,
-        seed: int,
-        sources: int = 16,
-        alpha: float = 1.4,
-        mean_period: float = 0.1,
-        peak_rate: float = 1.0,
-    ) -> "TraceSource":
-        """Aggregate of heavy-tailed on/off sources (``H = (3 - alpha)/2``)."""
-        rng = np.random.default_rng(seed)
-        return cls.from_array(
-            aggregate_onoff_rates(
-                sources, duration, bin_width, rng,
-                alpha=alpha, mean_period=mean_period, peak_rate=peak_rate,
-            ),
-            bin_width,
-        )
-
-    @classmethod
-    def mmpp(
-        cls,
-        model: MarkovModulatedSource,
-        duration: float,
-        bin_width: float,
-        seed: int,
-    ) -> "TraceSource":
-        """Binned trace of a Markov-modulated on/off source."""
-        rng = np.random.default_rng(seed)
-        return cls.from_array(mmpp_rates(model, duration, bin_width, rng), bin_width)
-
-    @classmethod
-    def mginf(
-        cls,
-        duration: float,
-        bin_width: float,
-        seed: int,
-        arrival_rate: float = 10.0,
-        duration_law: TruncatedPareto | None = None,
-        rate_per_session: float = 1.0,
-    ) -> "TraceSource":
-        """M/G/∞ active-session counts scaled to a fluid rate."""
-        law = duration_law if duration_law is not None else TruncatedPareto(
-            theta=0.05, alpha=1.5, cutoff=50.0
-        )
-        rng = np.random.default_rng(seed)
-        counts = mginf_rates(arrival_rate, law, duration, bin_width, rng)
-        return cls.from_array(counts * rate_per_session, bin_width)

@@ -59,6 +59,32 @@ class TraceQueueResult:
     empty_fraction: float
 
 
+def _clipped_walk(
+    increments: np.ndarray, buffer_size: float, occupancy: float
+) -> tuple[float, float, float, int, int]:
+    """Walk ``Q <- min(B, max(0, Q + w))`` from ``occupancy`` over ``increments``.
+
+    Returns the final occupancy, the work lost above ``B``, the sum of the
+    occupancies after each step, and the number of steps that ended full
+    (by overflowing) and empty.
+    """
+    lost = 0.0
+    occupancy_sum = 0.0
+    full = 0
+    empty = 0
+    for increment in increments:
+        occupancy += increment
+        if occupancy > buffer_size:
+            lost += occupancy - buffer_size
+            occupancy = buffer_size
+            full += 1
+        elif occupancy <= 0.0:
+            occupancy = 0.0
+            empty += 1
+        occupancy_sum += occupancy
+    return occupancy, lost, occupancy_sum, full, empty
+
+
 def simulate_trace_queue(
     rates: np.ndarray,
     bin_width: float,
@@ -77,21 +103,9 @@ def simulate_trace_queue(
         raise ValueError("initial_occupancy must lie in [0, buffer_size]")
 
     increments = (rates - service_rate) * bin_width
-    occupancy = initial_occupancy
-    lost = 0.0
-    occupancy_sum = 0.0
-    full_bins = 0
-    empty_bins = 0
-    for increment in increments:
-        occupancy += increment
-        if occupancy > buffer_size:
-            lost += occupancy - buffer_size
-            occupancy = buffer_size
-            full_bins += 1
-        elif occupancy <= 0.0:
-            occupancy = 0.0
-            empty_bins += 1
-        occupancy_sum += occupancy
+    _, lost, occupancy_sum, full_bins, empty_bins = _clipped_walk(
+        increments, buffer_size, initial_occupancy
+    )
     arrived = float(rates.sum() * bin_width)
     n = rates.size
     return TraceQueueResult(
@@ -233,24 +247,10 @@ def simulate_source_queue(
     rates = source.marginal.sample(total, rng)
     increments = durations * (rates - service_rate)
 
-    occupancy = 0.0
-    for increment in increments[:warmup_intervals]:
-        occupancy = min(buffer_size, max(0.0, occupancy + increment))
-
-    lost = 0.0
-    occupancy_sum = 0.0
-    full_count = 0
-    empty_count = 0
-    for increment in increments[warmup_intervals:]:
-        occupancy += increment
-        if occupancy > buffer_size:
-            lost += occupancy - buffer_size
-            occupancy = buffer_size
-            full_count += 1
-        elif occupancy <= 0.0:
-            occupancy = 0.0
-            empty_count += 1
-        occupancy_sum += occupancy
+    occupancy = _clipped_walk(increments[:warmup_intervals], buffer_size, 0.0)[0]
+    _, lost, occupancy_sum, full_count, empty_count = _clipped_walk(
+        increments[warmup_intervals:], buffer_size, occupancy
+    )
     arrived = float(
         (durations[warmup_intervals:] * rates[warmup_intervals:]).sum()
     )

@@ -45,7 +45,7 @@ __all__ = ["ServeServer", "make_server"]
 
 _MAX_BODY_BYTES = 1 << 20  # 1 MiB is orders of magnitude beyond any valid query
 _MAX_HEADER_BYTES = 32 << 10
-_IDLE_TIMEOUT_S = 30.0  # keep-alive connections are reaped after this silence
+_IDLE_TIMEOUT_S = 30.0  # deadline for one request head (idle wait included) and body
 
 _REASONS = {
     200: "OK",
@@ -63,19 +63,20 @@ class _BadRequest(Exception):
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One request or header line, bounded in time and in length."""
+    """One request or header line, bounded in length."""
     try:
-        return await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT_S)
+        return await reader.readline()
     except ValueError:  # longer than the stream's buffer limit
         raise _BadRequest("oversized request headers") from None
 
 
 async def _read_head(reader: asyncio.StreamReader) -> tuple[str, str, str, dict] | None:
-    """Read one request line + headers; ``None`` on clean EOF / idle timeout."""
-    try:
-        request_line = await _read_line(reader)
-    except asyncio.TimeoutError:
-        return None
+    """Read one request line + headers; ``None`` on clean EOF.
+
+    The caller bounds the whole head with one deadline, so a client
+    cannot hold its connection by trickling header lines.
+    """
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     parts = request_line.decode("latin-1").strip().split()
@@ -170,7 +171,7 @@ async def _serve_connection(
     try:
         while True:
             try:
-                head = await _read_head(reader)
+                head = await asyncio.wait_for(_read_head(reader), _IDLE_TIMEOUT_S)
                 if head is None:
                     return
                 method, path, version, headers = head
@@ -194,7 +195,7 @@ async def _serve_connection(
             if close:
                 return
     except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
-        pass  # client went away mid-request
+        pass  # client went away, or missed a read deadline
     finally:
         writer.close()
         try:

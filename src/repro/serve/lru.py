@@ -11,11 +11,7 @@ The serving layer answers three classes of repeat traffic, fastest first:
 
 The LRU is bounded two ways: ``max_entries`` caps the entry count and
 ``max_bytes`` (optional) caps the approximate payload footprint; the
-least-recently-*used* entry is evicted first.  Both bounds default to the
-advisory sizing hints the disk cache carries
-(:attr:`~repro.exec.cache.SolveCache.max_entries` /
-:attr:`~repro.exec.cache.SolveCache.max_bytes`), so the two tiers are
-dimensioned from one config.
+least-recently-*used* entry is evicted first.
 
 The store is event-loop-confined: every mutation happens on the serving
 loop, so no lock is taken.  ``snapshot()`` only reads counters and the
@@ -32,7 +28,7 @@ from repro.core.results import LossRateResult
 __all__ = ["MemoryLRU", "DEFAULT_LRU_ENTRIES"]
 
 DEFAULT_LRU_ENTRIES = 4096
-"""Entry bound used when neither the service nor the disk cache sizes the tier."""
+"""Entry bound of the memory tier unless the service is given another."""
 
 _FALLBACK_ENTRY_BYTES = 256
 """Approximate footprint charged to values that resist JSON sizing."""

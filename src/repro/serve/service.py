@@ -80,18 +80,13 @@ _T = TypeVar("_T")
 class ServiceRejection(RuntimeError):
     """Base of the service's load-control refusals.
 
-    Attributes carry what the HTTP layer needs: ``status`` is the
-    response code, ``retry_after_s`` (when set) becomes a ``Retry-After``
-    header.
+    Class attributes carry what the HTTP layer needs: ``status`` is the
+    response code, ``retry_after_s`` (when not None) becomes a
+    ``Retry-After`` header.
     """
 
     status = 503
     retry_after_s: float | None = None
-
-    def __init__(self, message: str, retry_after_s: float | None = None) -> None:
-        super().__init__(message)
-        if retry_after_s is not None:
-            self.retry_after_s = retry_after_s
 
 
 class ServiceOverloadedError(ServiceRejection):
@@ -141,8 +136,6 @@ class AsyncQueryService:
         batch_delay_s: float = 0.02,
         max_queue: int = 256,
         default_timeout_s: float = 30.0,
-        retry_after_s: float = 1.0,
-        own_engine: bool = True,
         lru_entries: int = DEFAULT_LRU_ENTRIES,
         lru_bytes: int | None = None,
     ) -> None:
@@ -150,8 +143,6 @@ class AsyncQueryService:
             raise ValueError(f"default_timeout_s must be > 0, got {default_timeout_s}")
         self.engine = engine
         self.default_timeout_s = default_timeout_s
-        self.retry_after_s = retry_after_s
-        self._own_engine = own_engine
         self.lru = MemoryLRU(max_entries=lru_entries, max_bytes=lru_bytes)
         self.singleflight = Singleflight()
         self.batcher = MicroBatcher(
@@ -246,9 +237,7 @@ class AsyncQueryService:
                     self.batcher.submit(item)
                 except QueueFullError as error:
                     self.singleflight.abandon(key)
-                    raise ServiceOverloadedError(
-                        str(error), retry_after_s=self.retry_after_s
-                    ) from None
+                    raise ServiceOverloadedError(str(error)) from None
                 except BatcherClosedError:
                     self.singleflight.abandon(key)
                     raise ServiceDrainingError("service is draining") from None
@@ -273,9 +262,7 @@ class AsyncQueryService:
             if future.cancelled():
                 # Raced a leader whose enqueue was shed before this
                 # follower attached.
-                raise ServiceOverloadedError(
-                    "request was shed while queueing", retry_after_s=self.retry_after_s
-                ) from None
+                raise ServiceOverloadedError("request was shed while queueing") from None
             raise
         return {
             "result": self._payload(value),
@@ -397,10 +384,9 @@ class AsyncQueryService:
         if not drain:
             self.singleflight.fail_all(ServiceDrainingError("service is draining"))
         if first:
-            if self._own_engine:
-                # Engine teardown joins worker processes — executor work,
-                # not loop work.
-                await self.offload(self.engine.close)
+            # Engine teardown joins worker processes — executor work, not
+            # loop work.
+            await self.offload(self.engine.close)
             self._engine_executor.shutdown(wait=False)
             self._aux_executor.shutdown(wait=False)
 
@@ -426,17 +412,11 @@ class QueryService:
         Micro-batcher knobs (see :class:`~repro.serve.batcher.MicroBatcher`).
     default_timeout_s:
         Wait bound applied when a request carries no ``timeout_s``.
-    retry_after_s:
-        Advisory client back-off attached to 429 shedding responses.
-    own_engine:
-        When True (default) :meth:`close` also closes the engine.
     lru_entries, lru_bytes:
-        Memory-tier bounds.  ``None`` (default) sizes the tier from the
-        disk cache's advisory hints
-        (:attr:`~repro.exec.cache.SolveCache.max_entries` /
-        :attr:`~repro.exec.cache.SolveCache.max_bytes`) so both tiers are
-        dimensioned from one config; absent those, ``lru_entries`` falls
-        back to :data:`~repro.serve.lru.DEFAULT_LRU_ENTRIES`.
+        Memory-tier bounds (see :class:`~repro.serve.lru.MemoryLRU`).
+
+    :meth:`close` also closes the engine.  A shed request's 429 carries
+    ``Retry-After: 1``.
     """
 
     def __init__(
@@ -447,25 +427,16 @@ class QueryService:
         batch_delay_s: float = 0.02,
         max_queue: int = 256,
         default_timeout_s: float = 30.0,
-        retry_after_s: float = 1.0,
-        own_engine: bool = True,
-        lru_entries: int | None = None,
+        lru_entries: int = DEFAULT_LRU_ENTRIES,
         lru_bytes: int | None = None,
     ) -> None:
         engine = engine if engine is not None else SweepEngine()
-        cache = getattr(engine, "cache", None)
-        if lru_entries is None:
-            lru_entries = getattr(cache, "max_entries", None) or DEFAULT_LRU_ENTRIES
-        if lru_bytes is None:
-            lru_bytes = getattr(cache, "max_bytes", None)
         self._core = AsyncQueryService(
             engine,
             batch_size=batch_size,
             batch_delay_s=batch_delay_s,
             max_queue=max_queue,
             default_timeout_s=default_timeout_s,
-            retry_after_s=retry_after_s,
-            own_engine=own_engine,
             lru_entries=lru_entries,
             lru_bytes=lru_bytes,
         )
@@ -620,8 +591,6 @@ class QueryService:
                 "entries": len(cache),
                 "hits": cache.hits,
                 "misses": cache.misses,
-                "max_entries": cache.max_entries,
-                "max_bytes": cache.max_bytes,
             },
             "latency_s": {
                 "queue": core.queue_latency.snapshot(),

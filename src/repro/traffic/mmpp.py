@@ -22,7 +22,7 @@ The family speaks the same seeded generator protocol as ``fgn``/``onoff``/
 ``mginf`` (:func:`mmpp_rates` produces a binned trace from an explicit
 ``numpy.random.Generator``) and plugs into :mod:`repro.netsim` both as a
 lazy segment stream (:meth:`MarkovModulatedSource.segments`) and as a
-pre-binned ``TraceSource`` (``TraceSource.mmpp``).
+pre-binned ``TraceSource`` (``TraceSource.from_array(mmpp_rates(...), bin_width)``).
 """
 
 from __future__ import annotations

@@ -230,27 +230,6 @@ class TestCompact:
         assert stats["stale_lines"] == 2
         assert stats["file_bytes"] > 0
 
-    def test_sizing_hints_default_to_none(self, tmp_path):
-        stats = SolveCache(tmp_path).file_stats()
-        assert stats["max_entries"] is None
-        assert stats["max_bytes"] is None
-
-    def test_sizing_hints_are_surfaced_not_enforced(self, tmp_path):
-        cache = SolveCache(tmp_path, max_entries=1, max_bytes=1 << 20)
-        cache.put("k1", RESULT)
-        cache.put("k2", RESULT)
-        stats = cache.file_stats()
-        # Advisory: both entries remain; the hints flow to the LRU tier.
-        assert stats["entries"] == 2
-        assert stats["max_entries"] == 1
-        assert stats["max_bytes"] == 1 << 20
-
-    def test_sizing_hints_are_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            SolveCache(tmp_path, max_entries=0)
-        with pytest.raises(ValueError):
-            SolveCache(tmp_path, max_bytes=0)
-
 
 def _record_line(key: str, result: LossRateResult = RESULT, **fields: object) -> str:
     record = {

@@ -12,7 +12,7 @@ from repro.exec.backends import SerialBackend
 from repro.exec.cache import SolveCache
 from repro.exec.engine import SweepEngine
 from repro.exec.task import SolveTask, SweepPlan
-from repro.experiments.sweeps import sweep_buffer_cutoff
+from repro.experiments.sweeps import plan_buffer_cutoff, run_plan
 
 FAST = SolverConfig(initial_bins=32, max_bins=128, relative_gap=0.5, max_iterations=2_000)
 
@@ -21,13 +21,7 @@ CUTOFFS = np.array([0.5, 2.0])
 
 
 def _plan(source) -> SweepPlan:
-    return SweepPlan.from_grid(
-        "buffer_s",
-        "cutoff_s",
-        BUFFERS,
-        CUTOFFS,
-        lambda b, c: SolveTask(source.with_cutoff(c), 0.85, b, FAST),
-    )
+    return plan_buffer_cutoff(source, 0.85, BUFFERS, CUTOFFS, FAST)
 
 
 class TestBitIdentity:
@@ -47,9 +41,7 @@ class TestBitIdentity:
         np.testing.assert_array_equal(grid, expected)  # bit-identical, not approx
 
     def test_sweep_builder_matches_direct_loops(self, small_source):
-        surface = sweep_buffer_cutoff(
-            small_source, 0.85, BUFFERS, CUTOFFS, config=FAST
-        )
+        surface = run_plan(_plan(small_source))
         expected = np.array(
             [
                 [

@@ -71,22 +71,6 @@ class TestPickling:
 
 
 class TestSweepPlan:
-    def test_from_grid_is_row_major(self, small_source):
-        seen = []
-
-        def build(row, col):
-            seen.append((row, col))
-            return SolveTask(small_source, row, col, FAST)
-
-        plan = SweepPlan.from_grid(
-            "util", "buffer_s", [0.7, 0.8], [0.1, 0.2, 0.3], build
-        )
-        assert plan.shape == (2, 3)
-        assert seen == [(r, c) for r in (0.7, 0.8) for c in (0.1, 0.2, 0.3)]
-        # Cell (1, 2) lives at index 1 * 3 + 2.
-        assert plan.tasks[5].utilization == 0.8
-        assert plan.tasks[5].normalized_buffer == 0.3
-
     def test_shape_mismatch_rejected(self, small_source):
         task = SolveTask(small_source, 0.8, 0.3, FAST)
         with pytest.raises(ValueError, match="tasks"):

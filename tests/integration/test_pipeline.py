@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.whittle import whittle_hurst
 from repro.core.horizon import correlation_horizon, empirical_horizon
 from repro.core.solver import SolverConfig, solve_loss_rate
-from repro.experiments.sweeps import sweep_cutoff
+from repro.experiments.sweeps import plan_cutoff, run_plan
 from repro.queueing.fluid_sim import simulate_trace_queue_multi
 from repro.traffic.shuffle import shuffle_trace
 
@@ -31,8 +31,8 @@ def test_full_pipeline_mtv(mtv_trace_small):
     assert source.mean_rate == pytest.approx(mtv_trace_small.mean_rate, rel=0.02)
     # 3. Solve for loss across cutoffs at fixed buffer.
     cutoffs = np.array([0.2, 1.0, 5.0, 25.0])
-    _, losses = sweep_cutoff(source, utilization=0.85, normalized_buffer=0.3,
-                             cutoffs=cutoffs, config=FAST).row_series(0)
+    _, losses = run_plan(plan_cutoff(source, utilization=0.85, normalized_buffer=0.3,
+                                     cutoffs=cutoffs, config=FAST)).row_series(0)
     assert np.all(np.diff(losses) >= -1e-12)  # more correlation, more loss
     # 4. The analytic horizon lands within the swept range's magnitude.
     service_rate = source.mean_rate / 0.85
@@ -43,8 +43,9 @@ def test_full_pipeline_mtv(mtv_trace_small):
 def test_correlation_horizon_observable_in_model(small_source):
     """Headline 1: loss stops growing once the cutoff exceeds the horizon."""
     cutoffs = np.array([0.05, 0.2, 1.0, 4.0, 16.0, 64.0])
-    _, losses = sweep_cutoff(
-        small_source, utilization=0.9, normalized_buffer=0.05, cutoffs=cutoffs, config=FAST
+    _, losses = run_plan(
+        plan_cutoff(small_source, utilization=0.9, normalized_buffer=0.05, cutoffs=cutoffs,
+                    config=FAST)
     ).row_series(0)
     horizon = empirical_horizon(cutoffs, losses, relative_band=0.25)
     # Small buffer -> short horizon: the plateau must start well before the

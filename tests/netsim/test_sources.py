@@ -1,4 +1,4 @@
-"""Source adapters: every traffic generator family as piecewise-constant rates."""
+"""Source adapters: renewal, trace and explicit paths as piecewise-constant rates."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.netsim.sources import RateSource, RenewalSource, SegmentSource, TraceSource
-from repro.traffic import synthesize_mtv_trace
 
 
 def test_segment_source_validates():
@@ -60,49 +59,6 @@ def test_trace_source_from_array_clips_negative_rates():
     assert source.total_time == pytest.approx(1.5)
     rng = np.random.default_rng(0)
     assert list(source.segments(rng)) == [(0.5, 1.0), (0.5, 0.0), (0.5, 3.0)]
-
-
-@pytest.mark.parametrize("family", ["fgn", "farima"])
-def test_gaussian_trace_sources_are_seeded_values(family):
-    build = getattr(TraceSource, family)
-    kwargs = dict(duration=5.0, bin_width=0.1, hurst=0.8, mean=1.0, std=0.3)
-    first = build(seed=11, **kwargs)
-    second = build(seed=11, **kwargs)
-    other = build(seed=12, **kwargs)
-    assert first.rates == second.rates  # a TraceSource is a value
-    assert first.rates != other.rates
-    assert len(first.rates) == 50
-    assert min(first.rates) >= 0.0  # clipped at zero
-
-
-def test_onoff_aggregate_trace_source():
-    source = TraceSource.onoff_aggregate(
-        duration=4.0, bin_width=0.1, seed=5, sources=4, peak_rate=1.0
-    )
-    assert len(source.rates) == 40
-    assert 0.0 <= min(source.rates)
-    assert max(source.rates) <= 4.0 + 1e-9  # at most all sources on
-
-
-def test_mginf_trace_source():
-    source = TraceSource.mginf(
-        duration=4.0, bin_width=0.1, seed=5, arrival_rate=5.0, rate_per_session=2.0
-    )
-    assert len(source.rates) == 40
-    assert all(rate >= 0.0 for rate in source.rates)
-    doubled = TraceSource.mginf(
-        duration=4.0, bin_width=0.1, seed=5, arrival_rate=5.0, rate_per_session=4.0
-    )
-    # rate_per_session scales the identical seeded session path linearly.
-    assert doubled.rates == tuple(rate * 2.0 for rate in source.rates)
-
-
-def test_from_trace_wraps_synthetic_traces():
-    trace = synthesize_mtv_trace(n_frames=256)
-    source = TraceSource.from_trace(trace)
-    assert source.bin_width == pytest.approx(trace.bin_width)
-    assert len(source.rates) == trace.rates.size
-    assert source.mean_rate == pytest.approx(float(np.mean(trace.rates)))
 
 
 def test_base_interface_is_abstract():

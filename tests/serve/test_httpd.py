@@ -139,6 +139,22 @@ class TestSlowAndOversizedClients:
             assert _reply(sock) == b""
         assert time.monotonic() - started < 5.0
 
+    def test_trickled_header_lines_are_dropped_after_the_idle_timeout(
+        self, server, monkeypatch
+    ):
+        # Every line arrives well within the timeout; the whole head does not.
+        monkeypatch.setattr(httpd, "_IDLE_TIMEOUT_S", 0.6)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            try:
+                for index in range(6):
+                    time.sleep(0.2)
+                    sock.sendall(f"X-Trickle-{index}: 1\r\n".encode())
+                sock.sendall(b"\r\n")
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # already dropped
+            assert _reply(sock) == b""
+
 
 class TestShutdown:
     def test_draining_server_returns_503_on_healthz(self):
@@ -174,7 +190,6 @@ class _SlowCache:
     """Disk-cache stand-in whose ``len`` blocks, like a first read of a big cache file."""
 
     hits = misses = 0
-    max_entries = max_bytes = None
 
     def __init__(self) -> None:
         self.entered = threading.Event()

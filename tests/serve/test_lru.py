@@ -77,31 +77,15 @@ class TestMemoryLRU:
 
 
 class TestTierSizing:
-    def test_lru_sizes_itself_from_the_disk_cache_hints(self, tmp_path):
-        from repro.exec.cache import SolveCache
-
-        engine = GateEngine()
-        engine.cache = SolveCache(tmp_path, max_entries=17, max_bytes=1 << 16)
-        service = QueryService(engine)
-        try:
-            assert service.core.lru.max_entries == 17
-            assert service.core.lru.max_bytes == 1 << 16
-        finally:
-            service.close()
-
-    def test_explicit_bounds_beat_the_hints(self, tmp_path):
-        from repro.exec.cache import SolveCache
-
-        engine = GateEngine()
-        engine.cache = SolveCache(tmp_path, max_entries=17)
-        service = QueryService(engine, lru_entries=5, lru_bytes=1 << 10)
+    def test_explicit_bounds_size_the_tier(self):
+        service = QueryService(GateEngine(), lru_entries=5, lru_bytes=1 << 10)
         try:
             assert service.core.lru.max_entries == 5
             assert service.core.lru.max_bytes == 1 << 10
         finally:
             service.close()
 
-    def test_default_when_no_hints(self):
+    def test_default_bounds(self):
         from repro.serve.lru import DEFAULT_LRU_ENTRIES
 
         service = QueryService(GateEngine())
