@@ -21,7 +21,6 @@ from repro.core.horizon import (
 )
 from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
-from repro.core.truncated_pareto import TruncatedPareto
 from repro.experiments.reporting import format_series
 from repro.experiments.sweeps import plan_cutoff, run_plan
 from repro.queueing.cts import dominant_time_scale

@@ -10,8 +10,10 @@ Two of the paper's implementation notes are measurable:
 
 A third ablation sweeps the FFT/direct crossover (the
 ``SolverConfig.fft_threshold_bins`` knob): per-step spectral vs direct
-cost at each bin count, for one chain pair and per member of an 8-wide
-stacked group, locating the break-even behind the configured default.
+cost at each bin count, per member of a width-1 and of an 8-wide stacked
+group, locating the break-even behind the configured default.  Every
+ablation steps chains through ``_StackedGroup``, the solver's one
+stepping kernel; a solo solve runs it at width 1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from _common import persist, run_once
 from repro.core.marginal import DiscreteMarginal
-from repro.core.solver import SolverConfig, _BatchMember, _BoundedChains, _StackedGroup
+from repro.core.solver import _BoundedChains, _StackedGroup
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.workload import WorkloadLaw
@@ -54,7 +56,7 @@ def test_ablation_fft_vs_direct(benchmark):
         for use_fft in (True, False):
             chains = _chains(bins, use_fft)
             start = time.perf_counter()
-            chains.iterate(steps)
+            _StackedGroup([chains]).iterate(steps)
             timings["fft" if use_fft else "direct"] = time.perf_counter() - start
         return timings
 
@@ -81,9 +83,10 @@ def test_ablation_fft_threshold(benchmark):
 
     The v1 kernel (per-step ``fftconvolve``) paid plan setup every step
     and only won above ~512 bins; the cached-plan spectral kernel
-    amortizes that, so the measured break-even for one chain pair sits
-    near the :data:`repro.core.solver.DEFAULT_FFT_THRESHOLD_BINS` default.
-    An 8-wide stacked group shares the spectral kernel's per-call cost
+    amortizes that, so the measured break-even for a width-1 group (one
+    chain pair, as a solo solve steps) sits at or just below the
+    :data:`repro.core.solver.DEFAULT_FFT_THRESHOLD_BINS` default.  An
+    8-wide stacked group shares the spectral kernel's per-call cost
     across its members while the direct path still runs one
     ``np.convolve`` per chain, so the stacked crossover sits lower; the
     default stays put because moving it changes float bits.
@@ -94,27 +97,18 @@ def test_ablation_fft_threshold(benchmark):
     steps = 60
     width = 8
 
-    def per_step(bins: int, use_fft: bool) -> float:
-        chains = _chains(int(bins), use_fft)
-        chains.iterate(4)  # warm plans and scratch buffers
-        start = time.perf_counter()
-        chains.iterate(steps)
-        return (time.perf_counter() - start) / steps
-
-    def per_member_step(bins: int, use_fft: bool) -> float:
-        group = _StackedGroup(
-            [_BatchMember(index, _chains(int(bins), use_fft)) for index in range(width)]
-        )
-        group.iterate(4)
+    def per_member_step(bins: int, use_fft: bool, members: int) -> float:
+        group = _StackedGroup([_chains(int(bins), use_fft) for _ in range(members)])
+        group.iterate(4)  # warm plans and scratch buffers
         start = time.perf_counter()
         group.iterate(steps)
-        return (time.perf_counter() - start) / (steps * width)
+        return (time.perf_counter() - start) / (steps * members)
 
     def run():
-        spectral = np.array([per_step(m, True) for m in sizes])
-        direct = np.array([per_step(m, False) for m in sizes])
-        stacked_spectral = np.array([per_member_step(m, True) for m in sizes])
-        stacked_direct = np.array([per_member_step(m, False) for m in sizes])
+        spectral = np.array([per_member_step(m, True, 1) for m in sizes])
+        direct = np.array([per_member_step(m, False, 1) for m in sizes])
+        stacked_spectral = np.array([per_member_step(m, True, width) for m in sizes])
+        stacked_direct = np.array([per_member_step(m, False, width) for m in sizes])
         return spectral, direct, stacked_spectral, stacked_direct
 
     spectral, direct, stacked_spectral, stacked_direct = run_once(benchmark, run)
@@ -144,7 +138,7 @@ def test_ablation_fft_threshold(benchmark):
     )
     text += (
         f"\n\nmeasured crossover {crossover(ratios)} bins for one chain pair "
-        f"(per-chain kernel) and {crossover(stacked_ratios)} bins per member of "
+        f"(width-1 group) and {crossover(stacked_ratios)} bins per member of "
         f"one {width}-wide stacked group (w{width}_* columns, seconds per "
         "member-step); "
         f"configured default fft_threshold_bins = {DEFAULT_FFT_THRESHOLD_BINS}"
@@ -160,9 +154,10 @@ def test_ablation_refinement_carry_over(benchmark):
     tolerance = 0.08  # relative gap target, reachable at the fine grid (M=128)
 
     def fine_steps_needed(chains) -> int:
+        group = _StackedGroup([chains])
         steps = 0
         while steps < 20_000:
-            chains.iterate(25)
+            group.iterate(25)
             steps += 25
             lower, upper = chains.loss_bounds()
             mid = 0.5 * (lower + upper)
@@ -173,7 +168,7 @@ def test_ablation_refinement_carry_over(benchmark):
     def run():
         # Warm start: iterate at M=64, then refine carrying the pmfs over.
         warm = _chains(64, True)
-        warm.iterate(600)
+        _StackedGroup([warm]).iterate(600)
         warm_refined = warm.refined()
         warm_steps = fine_steps_needed(warm_refined)
         # Cold start: begin directly at M=128 from empty/full.

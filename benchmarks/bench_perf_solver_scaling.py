@@ -7,12 +7,13 @@ scaling exponents: the spectral engine should grow roughly linearly in M
 (the log factor is invisible over this range), the direct engine roughly
 quadratically.
 
-The spectral kernel is also raced against the *legacy* v1 stepping kernel
-(per-chain ``scipy.signal.fftconvolve``, which re-planned and
-re-transformed the static increment vector every step) — the committed
-baseline this PR's caching/batching work is measured against.  A quick
-smoke variant of that race runs in CI and fails on a >2x per-step
-regression at 2048 bins.
+Both engines step one chain pair as a width-1 ``_StackedGroup``, the
+kernel every solo solve runs.  The spectral engine is also raced against
+the *legacy* v1 stepping kernel (per-chain ``scipy.signal.fftconvolve``,
+which re-planned and re-transformed the static increment vector every
+step) — the committed baseline the caching/batching work is measured
+against.  A quick smoke variant of that race runs in CI and fails on a
+>2x per-step regression at 2048 bins.
 
 A third benchmark times a Fig. 4-style sweep grid through the execution
 engine, serial vs `ProcessPoolBackend` at every sensible worker count —
@@ -37,7 +38,7 @@ from scipy.signal import fftconvolve
 
 from _common import persist, run_once
 from repro.core.marginal import DiscreteMarginal
-from repro.core.solver import SolverConfig, _BoundedChains
+from repro.core.solver import SolverConfig, _BoundedChains, _StackedGroup
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.workload import WorkloadLaw
@@ -84,9 +85,10 @@ def _timed_steps(bins: int, kernel: str, steps: int = STEPS) -> float:
     """Seconds per step for one kernel: 'spectral', 'direct' or 'legacy'."""
     chains = _chains(bins, use_fft=kernel == "spectral")
     if kernel in ("spectral", "direct"):
-        chains.iterate(2)  # warm plans and scratch buffers
+        group = _StackedGroup([chains])
+        group.iterate(2)  # warm plans and scratch buffers
         start = time.perf_counter()
-        chains.iterate(steps)
+        group.iterate(steps)
         return (time.perf_counter() - start) / steps
     lower, upper = chains.lower_pmf.copy(), chains.upper_pmf.copy()
     w_lower, w_upper = chains.w_lower, chains.w_upper
@@ -166,7 +168,7 @@ def test_perf_solver_scaling(benchmark):
 
 
 def test_perf_step_smoke():
-    """CI gate: per-step spectral cost at 2048 bins vs the v1 baseline.
+    """CI gate: per-step cost of the width-1 spectral group at 2048 bins vs v1.
 
     Runs in a few hundred milliseconds, the two kernels taking turns,
     best of three.  Persists the per-step timings so regressions leave an

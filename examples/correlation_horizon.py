@@ -60,7 +60,10 @@ def main() -> None:
                         "Model loss vs cutoff lag, per buffer size (MTV-synthetic, util 0.8)"))
 
     print("\nCorrelation-horizon estimates (seconds):")
-    header = f"{'buffer_s':>9} | {'empirical':>10} | {'eq26':>8} | {'eq26_clt':>9} | {'norros':>8} | {'dominant':>9}"
+    header = (
+        f"{'buffer_s':>9} | {'empirical':>10} | {'eq26':>8} | "
+        f"{'eq26_clt':>9} | {'norros':>8} | {'dominant':>9}"
+    )
     print(header)
     print("-" * len(header))
     for buffer_seconds, values in horizons.items():

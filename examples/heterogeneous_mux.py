@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.solver import solve_loss_rate
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto

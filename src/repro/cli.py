@@ -80,8 +80,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 
@@ -502,7 +502,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         run_model_comparison,
     )
 
-    source = _onoff_source(args)
+    source = _from_flags(_onoff_source, args)
     buffers = list(args.buffers or (0.1, 0.5))
     families = tuple(args.families or MATCHED_FAMILIES)
     unknown = sorted(set(families) - set(MATCHED_FAMILIES))
@@ -617,6 +617,18 @@ def _run_netsim(args: argparse.Namespace) -> int:
     return 0
 
 
+_Built = TypeVar("_Built")
+
+
+def _from_flags(build: Callable[..., _Built], *values: Any) -> _Built:
+    """``build(*values)``; a flag value it rejects exits 2 with one ``repro-lrd:`` line."""
+    try:
+        return build(*values)
+    except ValueError as error:
+        print(f"repro-lrd: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _onoff_source(args: argparse.Namespace) -> CutoffFluidSource:
     marginal = DiscreteMarginal.two_state(
         low=0.0, high=args.peak, prob_high=args.on_probability
@@ -677,15 +689,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "solve":
         from repro.exec import SolveTask
 
-        source = _onoff_source(args)
+        source = _from_flags(_onoff_source, args)
+        task = _from_flags(SolveTask, source, args.utilization, args.buffer)
         with _build_engine(args) as engine:
-            result = engine.solve(SolveTask(source, args.utilization, args.buffer))
+            result = engine.solve(task)
             print(result)
             _print_engine_summary(engine)
         return 0
 
     if args.command == "horizon":
-        source = _onoff_source(args)
+        source = _from_flags(_onoff_source, args)
         service_rate = source.mean_rate / args.utilization
         buffer_size = args.buffer * service_rate
         values = {
@@ -702,7 +715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         from repro.queueing.dimensioning import multiplexing_gain, required_service_rate
 
-        source = _onoff_source(args)
+        source = _from_flags(_onoff_source, args)
         bandwidth = required_service_rate(source, args.buffer, args.target_loss)
         print(reporting.format_mapping(
             {

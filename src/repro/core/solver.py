@@ -42,9 +42,9 @@ a *direct* plan runs one ``np.convolve`` per chain
 absorption of the whole stack is one spatial fold per step, so Eq. 20
 semantics — and with them the Proposition II.1 bound ordering — are
 untouched; only float round-off differs between the two paths (see
-``SOLVER_VERSION``).  The per-chain kernel (:meth:`_BoundedChains.iterate`
-with :class:`_SpectralPlan`) remains for the Fig. 2 snapshots and as the
-reference the stacked kernel is tested against.
+``SOLVER_VERSION``).  The group is the only stepping kernel: a solo solve
+and the Fig. 2 snapshots (:meth:`FluidQueue.occupancy_bounds`) step a
+group of one.
 """
 
 from __future__ import annotations
@@ -83,19 +83,21 @@ alter the float bit patterns of solver output.  History: 1 = per-chain
 cached increment transforms; 3 = multi-task stacked spectral kernel
 (:func:`batch_loss_rates`) — same-shape solves advance through one
 ``(tasks, 2, L)`` rfft/irfft pair per step.  The stacked kernel is
-regression-tested bit-identical to the per-chain kernel, but the stepping
-implementation changed, so the version bump lets persisted entries
-re-prove themselves instead of being trusted across the refactor.
+regression-tested bit-identical to a per-chain reference step (kept in
+``tests/core/test_batched_kernel.py``), but the stepping implementation
+changed, so the version bump lets persisted entries re-prove themselves
+instead of being trusted across the refactor.
 """
 
 DEFAULT_FFT_THRESHOLD_BINS = 256
 """Bin count below which levels step through direct ``np.convolve``.
 
-256 is the measured crossover for a stack of one (see
-``benchmarks/results/ablation_fft_threshold.txt``): the old per-call
-``fftconvolve`` path paid plan/setup cost every step and would have
-needed ~512 bins to win, and caching the increment spectrum moved the
-break-even down to ~256.  Wider stacks share the spectral kernel's
+256 is the measured crossover for a group of one, the path a solo solve
+steps (see ``benchmarks/results/ablation_fft_threshold.txt``: direct is
+ahead at 128 bins, spectral at 256): the old per-call ``fftconvolve``
+path paid plan/setup cost every step and would have needed ~512 bins to
+win, and caching the increment spectrum moved the break-even down to
+between 128 and 256.  Wider stacks share the spectral kernel's
 per-call cost, so there the crossover sits lower (the same file's
 width-8 columns).  The default stays 256 because moving it changes
 float bits, and so ``SOLVER_VERSION``."""
@@ -183,7 +185,10 @@ class SolverConfig:
 class _KernelCounters:
     """Mutable per-solve accumulators, shared across refinement levels."""
 
-    __slots__ = ("transforms", "fft_seconds", "boundary_seconds", "levels", "batch_width")
+    __slots__ = (
+        "transforms", "fft_seconds", "boundary_seconds", "levels", "batch_width",
+        "planned_levels",
+    )
 
     def __init__(self) -> None:
         self.transforms = 0
@@ -191,6 +196,14 @@ class _KernelCounters:
         self.boundary_seconds = 0.0
         self.levels: list[list[int]] = []  # [bins, steps] in level visit order
         self.batch_width = 1  # widest stack this solve ever stepped in
+        # Bin counts whose plan transforms are charged: once per level, as
+        # a solo solve pays, however often a batch rebuilds the group.
+        self.planned_levels: set[int] = set()
+
+    def count_plan(self, bins: int, transforms: int) -> None:
+        if bins not in self.planned_levels:
+            self.planned_levels.add(bins)
+            self.transforms += transforms
 
     def count_steps(self, bins: int, steps: int) -> None:
         if not self.levels or self.levels[-1][0] != bins:
@@ -207,42 +220,11 @@ class _KernelCounters:
         )
 
 
-class _SpectralPlan:
-    """Cached spectral geometry for one refinement level.
-
-    Pads the full linear-convolution length ``3M + 1`` to the next fast
-    real-FFT size once, transforms the two static increment vectors once,
-    and keeps the zero-padded input buffer alive across steps — so each
-    step costs exactly one batched forward and one batched inverse real
-    transform, for both chains together.
-    """
-
-    def __init__(self, increments: np.ndarray, bins: int) -> None:
-        # increments is the (2, 2*bins+1) stack [w_lower, w_upper].
-        self.conv_length = 3 * bins + 1
-        self.length = int(next_fast_len(self.conv_length, real=True))
-        self.kernel_spectrum = rfft(increments, n=self.length, axis=1)
-        self.transforms = 2  # the kernel transforms above
-        self._width = bins + 1
-        # Columns beyond _width stay zero forever: only the pmf region is
-        # rewritten each step, so no per-step re-zeroing is needed.
-        self._padded = np.zeros((2, self.length))
-
-    def convolve(self, state: np.ndarray) -> np.ndarray:
-        """Linear convolution of both chains in one rfft/irfft pair."""
-        self._padded[:, : self._width] = state
-        spectrum = rfft(self._padded, axis=1)
-        spectrum *= self.kernel_spectrum
-        self.transforms += 2
-        return irfft(spectrum, n=self.length, axis=1)
-
-
 class _BoundedChains:
     """The pair of discretized occupancy chains at one quantization level.
 
     Both chains live as the rows of one ``(2, M+1)`` state array (row 0 =
-    lower chain, row 1 = upper chain), so a step is a single batched
-    spectral convolution followed by vectorized boundary folding.
+    lower chain, row 1 = upper chain); a :class:`_StackedGroup` steps them.
     """
 
     def __init__(
@@ -287,8 +269,6 @@ class _BoundedChains:
             self._state[1, -1] = 1.0  # start full (Eq. 17)
         else:
             self._state[1] = upper_pmf
-        self._scratch = np.empty_like(self._state)
-        self._plan: _SpectralPlan | None = None  # built on first spectral step
         self.counters = counters if counters is not None else _KernelCounters()
 
     @property
@@ -303,52 +283,6 @@ class _BoundedChains:
     def spectral(self) -> bool:
         """True when this level steps through the FFT kernel."""
         return self.use_fft and self.bins >= self.fft_threshold_bins
-
-    def iterate(self, steps: int) -> None:
-        """Advance both chains ``steps`` iterations of Eqs. 19-20."""
-        if steps <= 0:
-            return
-        m = self.bins
-        n = 3 * m + 1
-        counters = self.counters
-        spectral = self.spectral
-        if spectral and self._plan is None:
-            before = time.perf_counter()
-            self._plan = _SpectralPlan(np.vstack([self.w_lower, self.w_upper]), m)
-            counters.fft_seconds += time.perf_counter() - before
-            counters.transforms += self._plan.transforms
-        for _ in range(steps):
-            start = time.perf_counter()
-            if spectral:
-                u = self._plan.convolve(self._state)
-                counters.transforms += 2
-            else:
-                u = np.vstack(
-                    [
-                        np.convolve(self._state[0], self.w_lower),
-                        np.convolve(self._state[1], self.w_upper),
-                    ]
-                )
-            mid = time.perf_counter()
-            # Index k of u carries the occupancy value (k - m) * step;
-            # columns beyond n hold only spectral round-off and are dropped.
-            new = self._scratch
-            new[:, 0] = u[:, : m + 1].sum(axis=1)  # reflect sub-zero mass
-            new[:, 1:m] = u[:, m + 1 : 2 * m]
-            new[:, m] = u[:, 2 * m : n].sum(axis=1)  # absorb above-B mass
-            # FFT round-off can leave tiny negatives; clip and renormalize.
-            np.clip(new, 0.0, None, out=new)
-            totals = new.sum(axis=1)
-            if not ((0.5 < totals) & (totals < 2.0)).all():  # pragma: no cover
-                raise ArithmeticError(
-                    "occupancy pmf lost normalization; increments invalid?"
-                )
-            new /= totals[:, np.newaxis]
-            self._state, self._scratch = new, self._state
-            end = time.perf_counter()
-            counters.fft_seconds += mid - start
-            counters.boundary_seconds += end - mid
-        counters.count_steps(m, steps)
 
     def loss_bounds(self) -> tuple[float, float]:
         """Current loss-rate bounds (Eqs. 23-24)."""
@@ -487,28 +421,27 @@ class FluidQueue:
         )
 
     def occupancy_bounds(
-        self,
-        checkpoints: Iterable[int],
-        bins: int = 100,
-        use_fft: bool = True,
-        fft_threshold_bins: int = DEFAULT_FFT_THRESHOLD_BINS,
+        self, checkpoints: Iterable[int], bins: int = 100
     ) -> list[OccupancyBounds]:
         """Bound distributions after given iteration counts (Fig. 2).
 
         ``checkpoints`` is an increasing sequence of iteration counts, e.g.
         ``(5, 10, 30)`` as in the paper; the bin count defaults to the
-        paper's M = 100.
+        paper's M = 100.  The chains step as a group of one under the
+        default :class:`SolverConfig` convolution path.
         """
         checkpoints = sorted(set(int(n) for n in checkpoints))
         if not checkpoints or checkpoints[0] < 0:
             raise ValueError("checkpoints must be non-negative iteration counts")
         if self.buffer_size <= 0.0:
             raise ValueError("occupancy bounds need a positive buffer")
-        chains = self._chains(bins, use_fft, fft_threshold_bins)
+        defaults = SolverConfig()
+        chains = self._chains(bins, defaults.use_fft, defaults.fft_threshold_bins)
+        group = _StackedGroup([chains])
         snapshots: list[OccupancyBounds] = []
         done = 0
         for target in checkpoints:
-            chains.iterate(target - done)
+            group.iterate(target - done)
             done = target
             snapshots.append(chains.snapshot(done))
         return snapshots
@@ -604,12 +537,14 @@ def solve_loss_rate(
 class _StackedSpectralPlan:
     """Spectral geometry shared by a stack of same-bin-count chains.
 
-    The per-chain :class:`_SpectralPlan` transforms one ``(2, L)`` state
-    per step; this plan stacks K chains into ``(K, 2, L)`` and advances
-    them all with one forward/inverse pair per sub-chunk.  Real-FFT rows
-    transform independently, so every row of the stacked result is
-    bit-identical to the corresponding solo transform — stacking (and the
-    :func:`_fft_stack_width` sub-chunking) is purely a throughput lever.
+    Pads the linear-convolution length ``3M + 1`` to the next fast
+    real-FFT size once, transforms every chain's two static increment
+    vectors once, and keeps the zero-padded ``(K, 2, L)`` input buffer
+    alive across steps, so a step is one forward/inverse pair per
+    sub-chunk.  Real-FFT rows transform independently, so every row of
+    the stacked result is bit-identical to the same pair transformed
+    alone — stacking (and the :func:`_fft_stack_width` sub-chunking) is
+    purely a throughput lever.
     """
 
     step_transforms = 2  # per chain and step: one rfft, one irfft
@@ -647,10 +582,11 @@ class _StackedSpectralPlan:
 class _StackedDirectPlan:
     """Direct-convolution counterpart of :class:`_StackedSpectralPlan`.
 
-    Below the FFT threshold each chain keeps its own ``np.convolve``, the
-    per-chain kernel's exact arithmetic (a Toeplitz product or a stacked
-    FFT would round differently).  The results land in one preallocated
-    ``(K, 2, 3M+1)`` buffer, so the stack's boundary fold is one pass.
+    Below the FFT threshold each chain keeps its own ``np.convolve``, so a
+    row's arithmetic is the same at every stack width (a Toeplitz product
+    or a stacked FFT would round differently).  The results land in one
+    preallocated ``(K, 2, 3M+1)`` buffer, so the stack's boundary fold is
+    one pass.
     """
 
     transforms = 0  # direct convolution transforms nothing
@@ -672,7 +608,7 @@ class _StackedDirectPlan:
 class _BatchMember:
     """One solve's mutable state inside :func:`_drive`."""
 
-    __slots__ = ("index", "chains", "previous", "counted_levels")
+    __slots__ = ("index", "chains", "previous")
 
     def __init__(self, index: int, chains: "_BoundedChains") -> None:
         self.index = index
@@ -680,54 +616,45 @@ class _BatchMember:
         # The stopping rule's progress reading after the previous block
         # (loss bounds or a distance); None after a start or a refinement.
         self.previous: Any = None
-        # Bin counts whose stacked kernel transforms were already charged
-        # to this member (the per-chain kernel charges them once per level).
-        self.counted_levels: set[int] = set()
 
 
 class _StackedGroup:
-    """Members currently sharing one refinement level's stacked plan.
+    """Chain pairs currently sharing one refinement level's stacked plan.
 
-    The plan is spectral or direct as the members' chains are (one
-    config fixes the path per bin count).  Built per refinement level;
-    rebuilt whenever membership at that level changes (a member retired,
-    stalled out, or refined into the level).  States are copied out to
-    each member's chains after every block, so the stopping rule and
-    refinement read each member's own chains.
+    The plan is spectral or direct as the chains are (one config fixes
+    the path per bin count).  :func:`_drive` builds one per refinement
+    level and rebuilds it whenever membership at that level changes (a
+    member retired, stalled out, or refined into the level).  States are
+    copied out to each pair after every block, so the stopping rule and
+    refinement read each pair's own state.
     """
 
-    def __init__(self, members: Sequence[_BatchMember]) -> None:
-        self.members = list(members)
-        self.bins = members[0].chains.bins
-        plan_type = (
-            _StackedSpectralPlan if members[0].chains.spectral else _StackedDirectPlan
-        )
+    def __init__(self, chains: Sequence[_BoundedChains]) -> None:
+        self.chains = list(chains)
+        self.bins = chains[0].bins
+        plan_type = _StackedSpectralPlan if chains[0].spectral else _StackedDirectPlan
         before = time.perf_counter()
-        self.plan = plan_type([m.chains for m in members], self.bins)
-        build_share = (time.perf_counter() - before) / len(self.members)
-        self.states = np.stack([m.chains._state for m in members])
+        self.plan = plan_type(self.chains, self.bins)
+        build_share = (time.perf_counter() - before) / len(self.chains)
+        self.states = np.stack([pair._state for pair in chains])
         self._scratch = np.empty_like(self.states)
-        for member in members:
-            counters = member.chains.counters
-            counters.fft_seconds += build_share
-            if self.bins not in member.counted_levels:
-                member.counted_levels.add(self.bins)
-                counters.transforms += self.plan.transforms
+        for pair in chains:
+            pair.counters.fft_seconds += build_share
+            pair.counters.count_plan(self.bins, self.plan.transforms)
 
-    def holds(self, members: Sequence[_BatchMember]) -> bool:
-        """True when this group still steps exactly these members' chains."""
-        return len(members) == len(self.members) and all(
-            ours is theirs and ours.chains.bins == self.bins
-            for ours, theirs in zip(self.members, members)
+    def holds(self, chains: Sequence[_BoundedChains]) -> bool:
+        """True when this group steps exactly these chain pairs, in order."""
+        return len(chains) == len(self.chains) and all(
+            ours is theirs for ours, theirs in zip(self.chains, chains)
         )
 
     def iterate(self, steps: int) -> None:
-        """Advance every member ``steps`` iterations of Eqs. 19-20."""
+        """Advance every chain pair ``steps`` iterations of Eqs. 19-20."""
         if steps <= 0:
             return
         m = self.bins
         n = 3 * m + 1
-        width = len(self.members)
+        width = len(self.chains)
         states, scratch = self.states, self._scratch
         convolve = self.plan.convolve
         add_reduce = np.add.reduce
@@ -738,9 +665,12 @@ class _StackedGroup:
         for _ in range(steps):
             u = convolve(states)
             mid = clock()
-            # The same fold as _BoundedChains.iterate, minus numpy's
-            # wrappers: clip with no upper bound is maximum, sum is
-            # add.reduce, so every bit matches.
+            # Eq. 20's fold.  Index k of u carries the occupancy value
+            # (k - m) * step; columns beyond n hold only spectral round-off
+            # and are dropped, and round-off can leave tiny negatives, so
+            # the fold clips and renormalizes.  It skips numpy's wrappers:
+            # clip with no upper bound is maximum and sum is add.reduce, so
+            # every bit matches the plain sum/clip fold.
             new = scratch
             add_reduce(u[..., : m + 1], axis=-1, out=new[..., 0])  # reflect sub-zero mass
             new[..., 1:m] = u[..., m + 1 : 2 * m]
@@ -761,14 +691,14 @@ class _StackedGroup:
         self.states, self._scratch = states, scratch
         fft_share = fft_seconds / width
         boundary_share = boundary_seconds / width
-        for position, member in enumerate(self.members):
-            counters = member.chains.counters
+        for position, pair in enumerate(self.chains):
+            counters = pair.counters
             counters.transforms += self.plan.step_transforms * steps
             counters.fft_seconds += fft_share
             counters.boundary_seconds += boundary_share
             counters.count_steps(m, steps)
             counters.batch_width = max(counters.batch_width, width)
-            member.chains._state[...] = states[position]
+            pair._state[...] = states[position]
 
 
 _Result = TypeVar("_Result")
@@ -801,13 +731,13 @@ def _drive(
     groups: dict[int, _StackedGroup] = {}
     while members and iterations < config.max_iterations:
         steps = min(config.block_iterations, config.max_iterations - iterations)
-        by_level: dict[int, list[_BatchMember]] = {}
+        by_level: dict[int, list[_BoundedChains]] = {}
         for member in members:
-            by_level.setdefault(member.chains.bins, []).append(member)
-        for bins, level_members in by_level.items():
+            by_level.setdefault(member.chains.bins, []).append(member.chains)
+        for bins, level_chains in by_level.items():
             group = groups.get(bins)
-            if group is None or not group.holds(level_members):
-                group = _StackedGroup(level_members)
+            if group is None or not group.holds(level_chains):
+                group = _StackedGroup(level_chains)
                 groups[bins] = group
             group.iterate(steps)
         groups = {bins: group for bins, group in groups.items() if bins in by_level}

@@ -24,6 +24,7 @@ from repro.core.fingerprint import payload_of, stable_hash
 from repro.core.results import LossRateResult
 from repro.core.solver import FluidQueue, SolverConfig, batch_loss_rates, solve_loss_rate
 from repro.core.source import CutoffFluidSource
+from repro.core.validation import check_nonnegative, check_positive
 
 __all__ = ["SolveTask", "SweepPlan", "solve_task_batch"]
 
@@ -50,6 +51,12 @@ class SolveTask:
     utilization: float
     normalized_buffer: float
     config: SolverConfig | None = None
+
+    def __post_init__(self) -> None:
+        # The queue's own checks, made where the task is built rather than
+        # inside whichever batch later solves it.
+        check_positive("utilization", self.utilization)
+        check_nonnegative("normalized_buffer", self.normalized_buffer)
 
     def run(self) -> LossRateResult:
         """Solve this task inline (the same call the legacy loops made)."""

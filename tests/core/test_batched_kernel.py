@@ -7,10 +7,11 @@ batch-versus-solo tests therefore compare stack width K against width 1:
 results must not depend on what shares a stack, across every exit path —
 gap convergence, negligible-loss exit, stall plus refinement at
 divergent levels, and iteration-budget exhaustion.  The independent
-reference is the per-chain kernel (:meth:`_BoundedChains.iterate` with
-its own :class:`_SpectralPlan`): the stacked group must reproduce its
-states bit for bit.  ``stationary_occupancy`` output is pinned by digests
-taken before the solo loops were folded into the driver.
+reference is a plain per-chain step (:func:`_reference_steps`): the
+stacked group must reproduce its states bit for bit.
+``stationary_occupancy`` output is pinned by digests taken before the
+solo loops were folded into the driver, and ``occupancy_bounds`` (Fig. 2)
+output by digests taken while it still stepped the per-chain kernel.
 
 Every level steps through a stacked group, so both convolution paths
 are covered: the spectral plan (``SPECTRAL``, threshold 0) and the
@@ -24,12 +25,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 
 from repro.core.marginal import DiscreteMarginal
 from repro.core.solver import (
     FluidQueue,
     SolverConfig,
-    _BatchMember,
+    _BoundedChains,
     _fft_stack_width,
     _StackedGroup,
     batch_loss_rates,
@@ -219,9 +221,53 @@ class TestBatchSemantics:
                 from_batch.stats.steps_per_level == from_solo.stats.steps_per_level
             )
 
+    def test_plan_transforms_are_charged_once_per_level(self):
+        # Members retire at different blocks, so a level's group is rebuilt
+        # under the survivors; each still pays its plan transforms once per
+        # level, as it would alone.
+        queues = _queues([0.02, 0.1, 0.5, 2.0, 5.0], utilization=0.95)
+        batched = batch_loss_rates(queues, config=SPECTRAL)
+        solo = [queue.loss_rate(SPECTRAL) for queue in queues]
+        assert len({result.iterations for result in solo}) > 1
+        for from_batch, from_solo in zip(batched, solo):
+            assert from_batch.stats.transforms == from_solo.stats.transforms
+
+
+def _reference_steps(chains: _BoundedChains, steps: int) -> None:
+    """Advance one chain pair ``steps`` iterations of Eqs. 19-20, on its own.
+
+    The per-chain kernel as written before stacking: spectral pairs
+    convolve both chains with one ``(2, L)`` rfft/irfft pair over
+    increment spectra transformed once, direct pairs run two
+    ``np.convolve`` calls, and the boundary fold uses plain ``sum`` and
+    ``clip``.
+    """
+    m = chains.bins
+    n = 3 * m + 1
+    state = np.vstack([chains.lower_pmf, chains.upper_pmf])
+    increments = np.vstack([chains.w_lower, chains.w_upper])
+    length = int(next_fast_len(n, real=True))
+    kernel_spectrum = rfft(increments, n=length, axis=1)
+    padded = np.zeros((2, length))
+    for _ in range(steps):
+        if chains.spectral:
+            padded[:, : m + 1] = state
+            u = irfft(rfft(padded, axis=1) * kernel_spectrum, n=length, axis=1)
+        else:
+            u = np.vstack(
+                [np.convolve(state[0], increments[0]), np.convolve(state[1], increments[1])]
+            )
+        new = np.empty_like(state)
+        new[:, 0] = u[:, : m + 1].sum(axis=1)  # reflect sub-zero mass
+        new[:, 1:m] = u[:, m + 1 : 2 * m]
+        new[:, m] = u[:, 2 * m : n].sum(axis=1)  # absorb above-B mass
+        np.clip(new, 0.0, None, out=new)
+        state = new / new.sum(axis=1)[:, np.newaxis]
+    chains._state[...] = state
+
 
 class TestStackedKernelReference:
-    """The stacked group against the per-chain kernel, state for state."""
+    """The stacked group against the per-chain reference, state for state."""
 
     @pytest.mark.parametrize(
         "path,bins,width",
@@ -245,21 +291,17 @@ class TestStackedKernelReference:
         queues = _queues(np.linspace(0.1, 2.0, count))
         stacked = [queue._chains(bins, spectral, 0) for queue in queues]
         reference = [queue._chains(bins, spectral, 0) for queue in queues]
-        group = _StackedGroup(
-            [_BatchMember(index, chains) for index, chains in enumerate(stacked)]
-        )
-        for steps in (16, 16, 7):
+        group = _StackedGroup(stacked)
+        blocks = (16, 16, 7)
+        for steps in blocks:
             group.iterate(steps)
             for chains in reference:
-                # The per-chain kernel: its own _SpectralPlan, or np.vstack
-                # of two np.convolve calls on the direct path.
-                chains.iterate(steps)
+                _reference_steps(chains, steps)
         for ours, theirs in zip(stacked, reference):
             assert np.array_equal(ours.lower_pmf, theirs.lower_pmf)
             assert np.array_equal(ours.upper_pmf, theirs.upper_pmf)
-            assert ours.counters.transforms == theirs.counters.transforms
-            if not spectral:
-                assert ours.counters.transforms == 0
+            # Two increment transforms once, then one rfft/irfft per step.
+            assert ours.counters.transforms == (2 + 2 * sum(blocks) if spectral else 0)
 
 
 class TestNormalizationGuard:
@@ -286,9 +328,7 @@ class TestNormalizationGuard:
             factor = {"scaled_up": 3.0, "scaled_down": 0.2}[corruption]
             victim.w_lower = victim.w_lower * factor
             victim.w_upper = victim.w_upper * factor
-        group = _StackedGroup(
-            [_BatchMember(index, pair) for index, pair in enumerate(chains)]
-        )
+        group = _StackedGroup(chains)
         with pytest.raises(ArithmeticError, match="lost normalization"):
             group.iterate(1)
 
@@ -323,6 +363,34 @@ class TestStationaryOccupancyPin:
         bounds = queue.stationary_occupancy(config, distribution_tolerance=tolerance)
         assert bounds.grid.size - 1 == bins
         assert _occupancy_digest(bounds) == expected
+
+
+class TestOccupancyBoundsPin:
+    """Bit patterns of ``occupancy_bounds`` (Fig. 2), from the per-chain kernel."""
+
+    @pytest.mark.parametrize(
+        "checkpoints,bins,expected",
+        [
+            # Fig. 2's M = 100: below the FFT threshold, the direct path.
+            (
+                (0, 5, 10, 30), 100,
+                ["17f1cc668b1cd35c", "7d7524c8cf329bfa", "6496fd69bee1af20",
+                 "6984b1e69aa15c16"],
+            ),
+            # At the threshold: the spectral path.
+            (
+                (5, 10, 30), 256,
+                ["4b5796f8fcf23c1d", "621a91fa9ede390b", "7f81ef56e6078e33"],
+            ),
+        ],
+    )
+    def test_digests_are_unchanged(self, checkpoints, bins, expected):
+        queue = FluidQueue.from_normalized(
+            source=_source(), utilization=0.8, normalized_buffer=1.0
+        )
+        snapshots = queue.occupancy_bounds(checkpoints, bins=bins)
+        assert [snapshot.iterations for snapshot in snapshots] == list(checkpoints)
+        assert [_occupancy_digest(snapshot) for snapshot in snapshots] == expected
 
 
 class TestStackWidthPolicy:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core.marginal import DiscreteMarginal
-from repro.core.solver import FluidQueue, SolverConfig, _BoundedChains, solve_loss_rate
+from repro.core.solver import (
+    FluidQueue,
+    SolverConfig,
+    _BoundedChains,
+    _StackedGroup,
+    solve_loss_rate,
+)
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.workload import WorkloadLaw
@@ -88,9 +94,10 @@ class TestBoundsAndConvergence:
             bins=64,
             use_fft=True,
         )
+        group = _StackedGroup([chains])
         previous_lower, previous_upper = chains.loss_bounds()
         for _ in range(6):
-            chains.iterate(10)
+            group.iterate(10)
             lower, upper = chains.loss_bounds()
             assert lower >= previous_lower - 1e-12
             assert upper <= previous_upper + 1e-12
@@ -106,7 +113,7 @@ class TestBoundsAndConvergence:
                 bins=bins,
                 use_fft=True,
             )
-            chains.iterate(400)
+            _StackedGroup([chains]).iterate(400)
             results[bins] = chains.loss_bounds()
         assert results[32][0] <= results[64][0] + 1e-10 <= results[128][0] + 2e-10
         assert results[32][1] >= results[64][1] - 1e-10 >= results[128][1] - 2e-10
@@ -118,7 +125,7 @@ class TestBoundsAndConvergence:
             bins=32,
             use_fft=True,
         )
-        chains.iterate(50)
+        _StackedGroup([chains]).iterate(50)
         lower_before, upper_before = chains.loss_bounds()
         refined = chains.refined()
         assert refined.bins == 64
@@ -137,12 +144,12 @@ class TestBoundsAndConvergence:
             bins=32,
             use_fft=True,
         )
-        chains.iterate(50)
+        _StackedGroup([chains]).iterate(50)
         for _ in range(3):
             chains = chains.refined()
             lower, upper = chains.loss_bounds()
             assert lower <= upper + 1e-15
-            chains.iterate(20)
+            _StackedGroup([chains]).iterate(20)
             lower, upper = chains.loss_bounds()
             assert lower <= upper + 1e-15
 
@@ -155,8 +162,8 @@ class TestBoundsAndConvergence:
         )
         fft_chains = _BoundedChains(use_fft=True, **kwargs)
         direct_chains = _BoundedChains(use_fft=False, **kwargs)
-        fft_chains.iterate(60)
-        direct_chains.iterate(60)
+        _StackedGroup([fft_chains]).iterate(60)
+        _StackedGroup([direct_chains]).iterate(60)
         for a, b in zip(fft_chains.loss_bounds(), direct_chains.loss_bounds()):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
 

@@ -1,7 +1,9 @@
 """Spectral stepping kernel: equivalence, bound ordering and counters.
 
-The v2 kernel advances both occupancy chains with one batched rfft/irfft
-pair over cached increment spectra.  These tests pin its contract:
+The spectral kernel advances both occupancy chains with one batched
+rfft/irfft pair over cached increment spectra; each test steps one chain
+pair as a group of one, the path every solo solve runs.  These tests pin
+its contract:
 
 * stepping agrees with the direct-convolution reference within tight
   tolerance (the kernels share exact semantics, only round-off differs);
@@ -24,6 +26,7 @@ from repro.core.solver import (
     FluidQueue,
     SolverConfig,
     _BoundedChains,
+    _StackedGroup,
 )
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
@@ -73,8 +76,8 @@ class TestSteppingEquivalence:
     def test_loss_bounds_match_direct(self, bins):
         spectral = _chains(bins, spectral=True)
         direct = _chains(bins, spectral=False)
-        spectral.iterate(50)
-        direct.iterate(50)
+        _StackedGroup([spectral]).iterate(50)
+        _StackedGroup([direct]).iterate(50)
         for a, b in zip(spectral.loss_bounds(), direct.loss_bounds()):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
 
@@ -82,8 +85,8 @@ class TestSteppingEquivalence:
     def test_pmfs_match_direct(self, bins):
         spectral = _chains(bins, spectral=True)
         direct = _chains(bins, spectral=False)
-        spectral.iterate(40)
-        direct.iterate(40)
+        _StackedGroup([spectral]).iterate(40)
+        _StackedGroup([direct]).iterate(40)
         np.testing.assert_allclose(spectral.lower_pmf, direct.lower_pmf, atol=1e-12)
         np.testing.assert_allclose(spectral.upper_pmf, direct.upper_pmf, atol=1e-12)
 
@@ -91,12 +94,12 @@ class TestSteppingEquivalence:
         spectral = _chains(64, spectral=True)
         direct = _chains(64, spectral=False)
         for _ in range(2):
-            spectral.iterate(30)
-            direct.iterate(30)
+            _StackedGroup([spectral]).iterate(30)
+            _StackedGroup([direct]).iterate(30)
             spectral = spectral.refined()
             direct = direct.refined()
-        spectral.iterate(30)
-        direct.iterate(30)
+        _StackedGroup([spectral]).iterate(30)
+        _StackedGroup([direct]).iterate(30)
         for a, b in zip(spectral.loss_bounds(), direct.loss_bounds()):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
 
@@ -142,32 +145,35 @@ class TestGoldenGridSolves:
 class TestKernelCounters:
     def test_spectral_transform_count_is_exact(self):
         chains = _chains(128, spectral=True)
-        chains.iterate(10)
+        group = _StackedGroup([chains])
+        group.iterate(10)
         # 2 transforms for the cached increment spectra + 2 per step.
         assert chains.counters.transforms == 2 + 2 * 10
-        chains.iterate(5)
+        group.iterate(5)
         assert chains.counters.transforms == 2 + 2 * 15
 
     def test_direct_path_performs_no_transforms(self):
         chains = _chains(128, spectral=False)
-        chains.iterate(10)
+        _StackedGroup([chains]).iterate(10)
         assert chains.counters.transforms == 0
         assert chains.counters.fft_seconds >= 0.0
 
     def test_plan_is_cached_across_blocks(self):
         chains = _chains(128, spectral=True)
-        chains.iterate(3)
-        plan = chains._plan
-        assert plan is not None
-        chains.iterate(3)
-        assert chains._plan is plan
+        group = _StackedGroup([chains])
+        group.iterate(3)
+        plan = group.plan
+        group.iterate(3)
+        assert group.plan is plan
+        # The increment spectra were transformed once, not once per block.
+        assert chains.counters.transforms == 2 + 2 * 6
 
     def test_counters_carry_across_refinement(self):
         chains = _chains(64, spectral=True)
-        chains.iterate(20)
+        _StackedGroup([chains]).iterate(20)
         refined = chains.refined()
         assert refined.counters is chains.counters
-        refined.iterate(10)
+        _StackedGroup([refined]).iterate(10)
         assert chains.counters.levels == [[64, 20], [128, 10]]
 
     def test_result_stats_account_for_all_iterations(self):

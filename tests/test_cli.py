@@ -113,6 +113,24 @@ class TestCommands:
         assert "eq26_horizon_s" in out
         assert "norros_horizon_s" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--hurst", "1.5", "--buffer", "0.1"],
+            ["horizon", "--hurst", "1.5", "--buffer", "0.1"],
+            ["dimension", "--hurst", "1.5", "--buffer", "0.1"],
+            ["compare", "--hurst", "1.5", "--buffer", "0.1"],
+            ["solve", "--utilization", "-1", "--buffer", "0.1"],
+        ],
+    )
+    def test_out_of_range_model_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("repro-lrd: ") and err.count("\n") == 1
+
     def test_trace_mtv(self, capsys):
         code = main(["trace", "mtv", "--bins", "1024"])
         assert code == 0
