@@ -11,7 +11,7 @@ import os
 
 from repro.experiments.paperconfig import DEFAULT_TRACE_BINS as TRACE_BINS
 
-__all__ = ["RESULTS_DIR", "TRACE_BINS", "persist", "run_once"]
+__all__ = ["RESULTS_DIR", "TRACE_BINS", "best_of_alternating", "persist", "run_once"]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -29,3 +29,20 @@ def persist(name: str, text: str) -> None:
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def best_of_alternating(best_of: int, *sides):
+    """Fastest of ``best_of`` runs of each side, the sides taking turns.
+
+    A side returns its seconds, or a tuple that starts with them.  Taking
+    turns lets every side sample the same host-speed swings; timing all
+    runs of one side first would hand a slow spell to one side only.
+    """
+    runs = [[] for _ in sides]
+    for _ in range(best_of):
+        for side, timed in zip(sides, runs):
+            timed.append(side())
+    return [
+        min(timed, key=lambda run: run[0] if isinstance(run, tuple) else run)
+        for timed in runs
+    ]

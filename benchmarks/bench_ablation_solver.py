@@ -19,10 +19,11 @@ stepping kernel; a solo solve runs it at width 1.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
-from _common import persist, run_once
+from _common import best_of_alternating, persist, run_once
 from repro.core.marginal import DiscreteMarginal
 from repro.core.solver import _BoundedChains, _StackedGroup
 from repro.core.source import CutoffFluidSource
@@ -89,13 +90,17 @@ def test_ablation_fft_threshold(benchmark):
     8-wide stacked group shares the spectral kernel's per-call cost
     across its members while the direct path still runs one
     ``np.convolve`` per chain, so the stacked crossover sits lower; the
-    default stays put because moving it changes float bits.
+    default stays put because moving it changes float bits.  Each cell
+    is the best of ``best_of`` timings taken in rounds, the spectral and
+    direct kernels taking turns, so a slow spell of the host does not
+    land on one kernel or one cell only.
     """
     from repro.core.solver import DEFAULT_FFT_THRESHOLD_BINS
 
     sizes = np.array([32, 64, 128, 256, 512, 1024])
     steps = 60
     width = 8
+    best_of = 5
 
     def per_member_step(bins: int, use_fft: bool, members: int) -> float:
         group = _StackedGroup([_chains(int(bins), use_fft) for _ in range(members)])
@@ -105,11 +110,16 @@ def test_ablation_fft_threshold(benchmark):
         return (time.perf_counter() - start) / (steps * members)
 
     def run():
-        spectral = np.array([per_member_step(m, True, 1) for m in sizes])
-        direct = np.array([per_member_step(m, False, 1) for m in sizes])
-        stacked_spectral = np.array([per_member_step(m, True, width) for m in sizes])
-        stacked_direct = np.array([per_member_step(m, False, width) for m in sizes])
-        return spectral, direct, stacked_spectral, stacked_direct
+        # Every cell takes one turn per round, spectral next to direct, so
+        # each cell's repeats spread over the whole run.
+        cells = [
+            partial(per_member_step, int(m), use_fft, members)
+            for members in (1, width)
+            for m in sizes
+            for use_fft in (True, False)
+        ]
+        best = np.array(best_of_alternating(best_of, *cells)).reshape(2, len(sizes), 2)
+        return best[0, :, 0], best[0, :, 1], best[1, :, 0], best[1, :, 1]
 
     spectral, direct, stacked_spectral, stacked_direct = run_once(benchmark, run)
     ratios = direct / spectral

@@ -2,14 +2,17 @@
 
 Measures processed events per wall-clock second for the two preset
 shapes: (a) tandem chains of growing hop count and (b) multiplexers of
-growing source fan-in.  Event cost is dominated by the downstream
-dirty-propagation pass, so throughput should degrade gently (roughly
-linearly) with node count and stay roughly flat in source count — each
-extra source adds events but not per-event work.
+growing source fan-in.  Only queue and priority nodes are on the event
+path; mux and sink stats are derived after the run.  Throughput falls
+with hop count, because a rate change walks every queue of the chain,
+and it falls with fan-in too: each extra source adds events *and*
+per-event work, since the shared queue advances and re-splits its
+output over every flow it carries, O(flows) per event.  On the
+reference host events/s falls by about 2.3x from 2 to 16 sources.
 
 ``test_perf_netsim_smoke`` is the CI gate: one small multiplexer run
 must clear an events/sec floor set far below the reference-host
-measurement (~70k events/s) so only an order-of-magnitude regression —
+measurement (~160k events/s) so only an order-of-magnitude regression —
 an accidentally quadratic propagation pass, unbounded stale-event
 accumulation — trips it, not runner noise.
 """
@@ -28,8 +31,8 @@ DURATION = 120.0
 WARMUP = 10.0
 SEED = 20260808
 
-# CI gate: measured ~70-90k events/s on the reference host; the floor
-# leaves ~5x headroom for slow shared runners.
+# CI gate: measured ~160k events/s on the reference host; the floor
+# leaves ~10x headroom for slow shared runners.
 SMOKE_MIN_EVENTS_PER_S = 15_000.0
 
 

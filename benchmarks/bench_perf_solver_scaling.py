@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 from scipy.signal import fftconvolve
 
-from _common import persist, run_once
+from _common import best_of_alternating, persist, run_once
 from repro.core.marginal import DiscreteMarginal
 from repro.core.solver import SolverConfig, _BoundedChains, _StackedGroup
 from repro.core.source import CutoffFluidSource
@@ -103,23 +103,6 @@ def _timed_steps(bins: int, kernel: str, steps: int = STEPS) -> float:
     return (time.perf_counter() - start) / steps
 
 
-def _best_of_alternating(best_of: int, *sides):
-    """Fastest of ``best_of`` runs of each side, the sides taking turns.
-
-    A side returns its seconds, or a tuple that starts with them.  Taking
-    turns lets every side sample the same host-speed swings; timing all
-    runs of one side first would hand a slow spell to one side only.
-    """
-    runs = [[] for _ in sides]
-    for _ in range(best_of):
-        for side, timed in zip(sides, runs):
-            timed.append(side())
-    return [
-        min(timed, key=lambda run: run[0] if isinstance(run, tuple) else run)
-        for timed in runs
-    ]
-
-
 def test_perf_solver_scaling(benchmark):
     def run():
         spectral = np.array([_timed_steps(int(m), "spectral") for m in BINS])
@@ -176,7 +159,7 @@ def test_perf_step_smoke():
     half its measured advantage over the committed legacy baseline (>2x
     per-step regression).
     """
-    spectral, legacy = _best_of_alternating(
+    spectral, legacy = best_of_alternating(
         3,
         partial(_timed_steps, SMOKE_BINS, "spectral", steps=8),
         partial(_timed_steps, SMOKE_BINS, "legacy", steps=8),
@@ -381,7 +364,7 @@ def test_perf_batch_smoke():
     the batching machinery has regressed into overhead.
     """
     smoke_tasks = 16
-    (solo_seconds, solo_results), (batch_seconds, batch_results) = _best_of_alternating(
+    (solo_seconds, solo_results), (batch_seconds, batch_results) = best_of_alternating(
         3,
         partial(_timed_batch_sweep, smoke_tasks, 1),
         partial(_timed_batch_sweep, smoke_tasks, None),
@@ -422,7 +405,7 @@ def test_perf_direct_batch_smoke():
         _timed_batch_sweep, smoke_tasks,
         config=DIRECT_BATCH_CONFIG, buffers=DIRECT_BATCH_BUFFERS,
     )
-    (solo_seconds, solo_results), (batch_seconds, batch_results) = _best_of_alternating(
+    (solo_seconds, solo_results), (batch_seconds, batch_results) = best_of_alternating(
         5, partial(sweep, max_batch=1), partial(sweep, max_batch=None)
     )
     speedup = solo_seconds / max(batch_seconds, 1e-9)

@@ -88,6 +88,7 @@ import numpy as np
 from repro.core.horizon import correlation_horizon, norros_horizon
 from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
+from repro.core.validation import check_in_open_interval, check_positive
 from repro.experiments import figures, reporting
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
@@ -572,28 +573,21 @@ def _run_netsim(args: argparse.Namespace) -> int:
     """Run a netsim preset sweep and report per-cell/per-node telemetry."""
     from repro.netsim import multiplexer_preset, tandem_preset
 
-    utilizations = args.utilizations or [0.7, 0.9]
-    buffers = args.buffers or [0.1, 0.5]
     if args.preset == "tandem":
-        report = tandem_preset(
-            utilizations=utilizations,
-            buffers=buffers,
-            hops=args.hops,
-            duration=args.duration,
-            warmup=args.warmup,
-            seed=args.seed,
-            hurst=args.hurst,
-        )
+        preset, size = tandem_preset, {"hops": args.hops}
     else:
-        report = multiplexer_preset(
-            utilizations=utilizations,
-            buffers=buffers,
-            sources=args.sources,
-            duration=args.duration,
-            warmup=args.warmup,
-            seed=args.seed,
-            hurst=args.hurst,
-        )
+        preset, size = multiplexer_preset, {"sources": args.sources}
+    # A preset checks every flag before its first simulation starts.
+    report = _from_flags(
+        preset,
+        utilizations=args.utilizations or [0.7, 0.9],
+        buffers=args.buffers or [0.1, 0.5],
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        hurst=args.hurst,
+        **size,
+    )
     text = report.format_table()
     print(text)
     if args.detail:
@@ -620,10 +614,11 @@ def _run_netsim(args: argparse.Namespace) -> int:
 _Built = TypeVar("_Built")
 
 
-def _from_flags(build: Callable[..., _Built], *values: Any) -> _Built:
-    """``build(*values)``; a flag value it rejects exits 2 with one ``repro-lrd:`` line."""
+def _from_flags(build: Callable[..., _Built], *values: Any, **options: Any) -> _Built:
+    """``build(*values, **options)``; a flag value it rejects exits 2 with one
+    ``repro-lrd:`` line."""
     try:
-        return build(*values)
+        return build(*values, **options)
     except ValueError as error:
         print(f"repro-lrd: {error}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -639,6 +634,19 @@ def _onoff_source(args: argparse.Namespace) -> CutoffFluidSource:
         mean_interval=args.mean_interval,
         cutoff=getattr(args, "cutoff", math.inf),
     )
+
+
+def _horizon_estimates(
+    source: CutoffFluidSource, args: argparse.Namespace
+) -> dict[str, float]:
+    service_rate = source.mean_rate / check_positive("utilization", args.utilization)
+    buffer_size = check_positive("buffer", args.buffer) * service_rate
+    return {
+        "eq26_horizon_s": correlation_horizon(
+            source, buffer_size, no_reset_probability=args.no_reset_probability
+        ),
+        "norros_horizon_s": norros_horizon(source, service_rate, buffer_size),
+    }
 
 
 def _run_figure(args: argparse.Namespace, engine: "SweepEngine") -> str:
@@ -699,14 +707,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "horizon":
         source = _from_flags(_onoff_source, args)
-        service_rate = source.mean_rate / args.utilization
-        buffer_size = args.buffer * service_rate
-        values = {
-            "eq26_horizon_s": correlation_horizon(
-                source, buffer_size, no_reset_probability=args.no_reset_probability
-            ),
-            "norros_horizon_s": norros_horizon(source, service_rate, buffer_size),
-        }
+        values = _from_flags(_horizon_estimates, source, args)
         print(reporting.format_mapping(values, "Correlation-horizon estimates"))
         return 0
 
@@ -716,6 +717,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.queueing.dimensioning import multiplexing_gain, required_service_rate
 
         source = _from_flags(_onoff_source, args)
+        _from_flags(check_positive, "buffer", args.buffer)
+        _from_flags(check_in_open_interval, "target_loss", args.target_loss, 0.0, 1.0)
         bandwidth = required_service_rate(source, args.buffer, args.target_loss)
         print(reporting.format_mapping(
             {

@@ -177,25 +177,25 @@ def _run_grid(
     warmup: float,
     seed: int,
 ) -> PresetReport:
-    """Simulate every (utilization, buffer) cell."""
-    cells: list[PresetCell] = []
-    index = 0
-    for utilization in utilizations:
-        for normalized_buffer in buffers:
-            topology = build(utilization, normalized_buffer)
-            result = simulate(
-                topology, duration=duration, warmup=warmup, seed=seed + index
-            )
-            cells.append(
-                PresetCell(
-                    index=index,
-                    utilization=float(utilization),
-                    normalized_buffer=float(normalized_buffer),
-                    result=result,
-                )
-            )
-            index += 1
-    return PresetReport(name=name, cells=tuple(cells))
+    """Simulate every (utilization, buffer) cell.
+
+    Every cell's topology is built before the first simulation starts,
+    so a bad argument fails before any work is done.
+    """
+    grid = [
+        (float(utilization), float(normalized_buffer), build(utilization, normalized_buffer))
+        for utilization in utilizations
+        for normalized_buffer in buffers
+    ]
+    return PresetReport(name=name, cells=tuple(
+        PresetCell(
+            index=index,
+            utilization=utilization,
+            normalized_buffer=normalized_buffer,
+            result=simulate(topology, duration=duration, warmup=warmup, seed=seed + index),
+        )
+        for index, (utilization, normalized_buffer, topology) in enumerate(grid)
+    ))
 
 
 def tandem_preset(

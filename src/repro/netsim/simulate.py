@@ -2,11 +2,19 @@
 
 This is the *state* layer of the entities/events/state split.  A
 :class:`~repro.netsim.topology.Topology` of frozen entities is compiled
-into mutable per-node runtimes; the engine then processes events off a
+into mutable runtimes; the engine then processes events off a
 :class:`~repro.netsim.events.EventLoop` and, between events, every
 quantity evolves linearly — fluid rates are piecewise constant, so the
 only instants anything changes are source rate switches and buffer
 boundary hits, which is exactly the event set.
+
+Only stateful nodes (queue and priority) are on the event path.  A
+flow's rate change goes straight to its first stateful hop, and a
+changed output straight to the flow's next one.  A mux or sink is
+lossless and bufferless, so its stats are derived after the run from
+its neighbours' per-flow integrals.  A rate change entering through a
+mux reaches the queue behind it only when the flow's rate actually
+changes, exactly as if the mux had been walked.
 
 Semantics
 ---------
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -112,7 +120,7 @@ class NetSimResult:
 
     @property
     def events_per_second(self) -> float:
-        """Processed events per wall-clock second (the benchmark metric)."""
+        """Processed events per wall-clock second."""
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.events_processed / self.wall_seconds
@@ -144,7 +152,7 @@ class _FluidBuffer:
         "capacity", "service", "occupancy", "last_time", "epoch",
         "in_rate", "in_total", "out_rate", "out_total",
         "loss_rate", "loss_total", "drift", "at_full", "at_empty",
-        "backlog", "arrived", "lost", "arrived_total", "served_total",
+        "backlog", "arrived", "served", "lost", "arrived_total", "served_total",
         "lost_total", "occupancy_integral", "backlog_integral",
         "full_time", "empty_time",
     )
@@ -166,6 +174,7 @@ class _FluidBuffer:
         self.at_empty = True
         self.backlog = {fid: 0.0 for fid in flow_ids}
         self.arrived = {fid: 0.0 for fid in flow_ids}
+        self.served = {fid: 0.0 for fid in flow_ids}
         self.lost = {fid: 0.0 for fid in flow_ids}
         self.arrived_total = 0.0
         self.served_total = 0.0
@@ -184,14 +193,19 @@ class _FluidBuffer:
         self.served_total += self.out_total * dt
         self.lost_total += self.loss_total * dt
         self.occupancy_integral += (self.occupancy + 0.5 * self.drift * dt) * dt
+        arrived, served, lost = self.arrived, self.served, self.lost
+        out_rate, loss_rate = self.out_rate, self.loss_rate
+        backlog, backlog_integral = self.backlog, self.backlog_integral
         for fid, rate in self.in_rate.items():
-            self.arrived[fid] += rate * dt
-            loss = self.loss_rate[fid]
-            self.lost[fid] += loss * dt
-            net = rate - self.out_rate[fid] - loss
-            backlog = self.backlog[fid]
-            self.backlog_integral[fid] += (backlog + 0.5 * net * dt) * dt
-            self.backlog[fid] = backlog + net * dt
+            arrived[fid] += rate * dt
+            loss = loss_rate[fid]
+            lost[fid] += loss * dt
+            out = out_rate[fid]
+            served[fid] += out * dt
+            net = rate - out - loss
+            held = backlog[fid]
+            backlog_integral[fid] += (held + 0.5 * net * dt) * dt
+            backlog[fid] = held + net * dt
         if self.at_full:
             self.full_time += dt
         elif self.at_empty:
@@ -204,30 +218,32 @@ class _FluidBuffer:
 
     def _reconcile_backlogs(self) -> None:
         """Clamp per-flow backlogs and rescale them to sum to the aggregate."""
+        backlog = self.backlog
         total = 0.0
-        for fid, backlog in self.backlog.items():
-            if backlog < 0.0:
-                backlog = 0.0
-                self.backlog[fid] = 0.0
-            total += backlog
+        for fid, held in backlog.items():
+            if held < 0.0:
+                held = 0.0
+                backlog[fid] = 0.0
+            total += held
         if total > 0.0:
             scale = self.occupancy / total
-            for fid in self.backlog:
-                self.backlog[fid] *= scale
+            for fid in backlog:
+                backlog[fid] *= scale
         elif self.occupancy > 0.0 and self.in_total > 0.0:
             for fid, rate in self.in_rate.items():
-                self.backlog[fid] = self.occupancy * rate / self.in_total
+                backlog[fid] = self.occupancy * rate / self.in_total
 
     def snap(self, target: float) -> None:
         """Land exactly on a boundary (cancels accumulated float drift)."""
         self.occupancy = min(self.capacity, max(0.0, target))
         self._reconcile_backlogs()
 
-    def recompute(self) -> bool:
-        """Re-derive the linear regime; True when any output rate changed."""
+    def recompute(self) -> list[tuple[int, float]]:
+        """Re-derive the linear regime; returns the changed ``(flow, out_rate)`` pairs."""
         self.epoch += 1
+        in_rate = self.in_rate
         total_in = 0.0
-        for rate in self.in_rate.values():
+        for rate in in_rate.values():
             total_in += rate
         self.in_total = total_in
         capacity = self.capacity
@@ -254,28 +270,28 @@ class _FluidBuffer:
             self.at_full = False
             self.at_empty = False
         self.loss_total = loss_total
-        changed = False
+        changed: list[tuple[int, float]] = []
         # Output split: backlog shares while fluid is queued, input shares
         # on pass-through; loss splits by input shares (frozen per regime).
+        backlog = self.backlog
         backlog_total = 0.0
         if self.occupancy > 0.0:
-            for backlog in self.backlog.values():
-                backlog_total += backlog
-        for fid, rate in self.in_rate.items():
+            for held in backlog.values():
+                backlog_total += held
+        out_rate, loss_rate = self.out_rate, self.loss_rate
+        for fid, rate in in_rate.items():
             if out_total <= 0.0:
                 out = 0.0
             elif backlog_total > 0.0:
-                out = out_total * self.backlog[fid] / backlog_total
+                out = out_total * backlog[fid] / backlog_total
             elif total_in > 0.0:
                 out = out_total * rate / total_in
             else:
                 out = 0.0
-            if out != self.out_rate[fid]:
-                self.out_rate[fid] = out
-                changed = True
-            self.loss_rate[fid] = (
-                loss_total * rate / total_in if total_in > 0.0 else 0.0
-            )
+            if out != out_rate[fid]:
+                out_rate[fid] = out
+                changed.append((fid, out))
+            loss_rate[fid] = loss_total * rate / total_in if total_in > 0.0 else 0.0
         self.out_total = out_total
         return changed
 
@@ -296,23 +312,31 @@ class _FluidBuffer:
         self.empty_time = 0.0
         for fid in self.arrived:
             self.arrived[fid] = 0.0
+            self.served[fid] = 0.0
             self.lost[fid] = 0.0
             self.backlog_integral[fid] = 0.0
 
 
-_Scheduler = Callable[[float, int, float, str], None]
-"""``schedule(delta, subqueue, target, tag)`` boundary-event hook."""
+_Scheduler = Callable[[int, int, int, float, float, str], None]
+"""``schedule(node, subqueue, epoch, at, target, tag)`` boundary-event hook."""
 
 
 class _NodeRuntime:
-    """Common interface of compiled node states."""
+    """Compiled state of a stateful node: the only runtimes events touch.
 
-    __slots__ = ("name", "kind", "index")
+    ``downstream`` maps each flow through the node to the flow's next
+    stateful hop, past any mux; ``dirty`` marks a runtime advanced to the
+    current event's time and waiting for its recompute.
+    """
+
+    __slots__ = ("name", "kind", "index", "dirty", "downstream")
 
     def __init__(self, name: str, kind: str, index: int) -> None:
         self.name = name
         self.kind = kind
         self.index = index
+        self.dirty = False
+        self.downstream: dict[int, _NodeRuntime] = {}
 
     def advance(self, t: float) -> None:
         raise NotImplementedError
@@ -320,12 +344,12 @@ class _NodeRuntime:
     def set_in(self, fid: int, rate: float) -> None:
         raise NotImplementedError
 
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
-        """Re-derive regimes; returns changed ``(flow, out_rate)`` pairs."""
+    def recompute(self, t: float, schedule: _Scheduler) -> list[tuple[int, float]]:
+        """Re-derive regimes at ``t``; returns changed ``(flow, out_rate)`` pairs."""
         raise NotImplementedError
 
     def buffer_epoch(self, subqueue: int) -> int:
-        return -1
+        raise NotImplementedError
 
     def snap(self, subqueue: int, target: float) -> None:
         raise NotImplementedError
@@ -333,14 +357,9 @@ class _NodeRuntime:
     def reset_stats(self) -> None:
         raise NotImplementedError
 
-    def arrived_of(self, fid: int) -> float:
-        return 0.0
-
-    def lost_of(self, fid: int) -> float:
-        return 0.0
-
-    def backlog_integral_of(self, fid: int) -> float:
-        return 0.0
+    def buffer_of(self, fid: int) -> _FluidBuffer:
+        """The buffer carrying flow ``fid`` (its per-flow integrals)."""
+        raise NotImplementedError
 
     def node_stats(self, measured: float) -> NodeStats:
         raise NotImplementedError
@@ -349,11 +368,10 @@ class _NodeRuntime:
 class _QueueRuntime(_NodeRuntime):
     """A plain FIFO queue: one fluid buffer at constant service."""
 
-    __slots__ = ("buffer", "service_rate")
+    __slots__ = ("buffer",)
 
     def __init__(self, node: QueueNode, index: int, flow_ids: list[int]) -> None:
         super().__init__(node.name, node.kind, index)
-        self.service_rate = node.service_rate
         self.buffer = _FluidBuffer(node.buffer, flow_ids)
         self.buffer.service = node.service_rate
 
@@ -363,18 +381,14 @@ class _QueueRuntime(_NodeRuntime):
     def set_in(self, fid: int, rate: float) -> None:
         self.buffer.in_rate[fid] = rate
 
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
-        before = dict(self.buffer.out_rate)
-        self.buffer.recompute()
-        hit = self.buffer.boundary()
+    def recompute(self, t: float, schedule: _Scheduler) -> list[tuple[int, float]]:
+        buf = self.buffer
+        changed = buf.recompute()
+        hit = buf.boundary()
         if hit is not None:
             delta, target, tag = hit
-            schedule(delta, 0, target, tag)
-        return [
-            (fid, rate)
-            for fid, rate in self.buffer.out_rate.items()
-            if rate != before[fid]
-        ]
+            schedule(self.index, 0, buf.epoch, t + delta, target, tag)
+        return changed
 
     def buffer_epoch(self, subqueue: int) -> int:
         return self.buffer.epoch
@@ -385,14 +399,8 @@ class _QueueRuntime(_NodeRuntime):
     def reset_stats(self) -> None:
         self.buffer.reset_stats()
 
-    def arrived_of(self, fid: int) -> float:
-        return self.buffer.arrived.get(fid, 0.0)
-
-    def lost_of(self, fid: int) -> float:
-        return self.buffer.lost.get(fid, 0.0)
-
-    def backlog_integral_of(self, fid: int) -> float:
-        return self.buffer.backlog_integral.get(fid, 0.0)
+    def buffer_of(self, fid: int) -> _FluidBuffer:
+        return self.buffer
 
     def node_stats(self, measured: float) -> NodeStats:
         buf = self.buffer
@@ -441,23 +449,17 @@ class _PriorityRuntime(_NodeRuntime):
     def set_in(self, fid: int, rate: float) -> None:
         self.classes[self.class_of[fid]].in_rate[fid] = rate
 
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
+    def recompute(self, t: float, schedule: _Scheduler) -> list[tuple[int, float]]:
         changed: list[tuple[int, float]] = []
         available = self.service_rate
         for position, buf in enumerate(self.classes):
-            before = dict(buf.out_rate)
             buf.service = available
-            buf.recompute()
+            changed += buf.recompute()
             hit = buf.boundary()
             if hit is not None:
                 delta, target, tag = hit
-                schedule(delta, position, target, tag)
+                schedule(self.index, position, buf.epoch, t + delta, target, tag)
             available = max(0.0, available - buf.out_total)
-            changed.extend(
-                (fid, rate)
-                for fid, rate in buf.out_rate.items()
-                if rate != before[fid]
-            )
         return changed
 
     def buffer_epoch(self, subqueue: int) -> int:
@@ -470,14 +472,8 @@ class _PriorityRuntime(_NodeRuntime):
         for buf in self.classes:
             buf.reset_stats()
 
-    def arrived_of(self, fid: int) -> float:
-        return self.classes[self.class_of[fid]].arrived.get(fid, 0.0)
-
-    def lost_of(self, fid: int) -> float:
-        return self.classes[self.class_of[fid]].lost.get(fid, 0.0)
-
-    def backlog_integral_of(self, fid: int) -> float:
-        return self.classes[self.class_of[fid]].backlog_integral.get(fid, 0.0)
+    def buffer_of(self, fid: int) -> _FluidBuffer:
+        return self.classes[self.class_of[fid]]
 
     def node_stats(self, measured: float) -> NodeStats:
         arrived = sum(buf.arrived_total for buf in self.classes)
@@ -501,46 +497,20 @@ class _PriorityRuntime(_NodeRuntime):
         )
 
 
-class _MuxRuntime(_NodeRuntime):
-    """Stateless fan-in: outputs mirror inputs instantaneously."""
+class _StatelessRuntime:
+    """A mux or sink: no runtime on the event path, lossless and bufferless.
 
-    __slots__ = ("in_rate", "out_rate", "arrived", "last_time")
+    Its per-flow work is filled in after the run from its neighbours'
+    integrals: the served work of the flow's previous stateful hop, or
+    the flow's offered work when no stateful hop comes before it.
+    """
 
-    def __init__(self, node: MuxNode, index: int, flow_ids: list[int]) -> None:
-        super().__init__(node.name, node.kind, index)
-        self.in_rate = {fid: 0.0 for fid in flow_ids}
-        self.out_rate = {fid: 0.0 for fid in flow_ids}
+    __slots__ = ("name", "kind", "arrived")
+
+    def __init__(self, node: MuxNode | SinkNode, flow_ids: list[int]) -> None:
+        self.name = node.name
+        self.kind = node.kind
         self.arrived = {fid: 0.0 for fid in flow_ids}
-        self.last_time = 0.0
-
-    def advance(self, t: float) -> None:
-        dt = t - self.last_time
-        if dt <= 0.0:
-            return
-        for fid, rate in self.in_rate.items():
-            self.arrived[fid] += rate * dt
-        self.last_time = t
-
-    def set_in(self, fid: int, rate: float) -> None:
-        self.in_rate[fid] = rate
-
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
-        changed = []
-        for fid, rate in self.in_rate.items():
-            if rate != self.out_rate[fid]:
-                self.out_rate[fid] = rate
-                changed.append((fid, rate))
-        return changed
-
-    def snap(self, subqueue: int, target: float) -> None:  # pragma: no cover
-        raise RuntimeError("mux nodes have no buffers")
-
-    def reset_stats(self) -> None:
-        for fid in self.arrived:
-            self.arrived[fid] = 0.0
-
-    def arrived_of(self, fid: int) -> float:
-        return self.arrived.get(fid, 0.0)
 
     def node_stats(self, measured: float) -> NodeStats:
         arrived = sum(self.arrived.values())
@@ -558,55 +528,7 @@ class _MuxRuntime(_NodeRuntime):
         )
 
 
-class _SinkRuntime(_NodeRuntime):
-    """Absorbing node: integrates delivered work per flow."""
-
-    __slots__ = ("in_rate", "delivered", "last_time")
-
-    def __init__(self, node: SinkNode, index: int, flow_ids: list[int]) -> None:
-        super().__init__(node.name, node.kind, index)
-        self.in_rate = {fid: 0.0 for fid in flow_ids}
-        self.delivered = {fid: 0.0 for fid in flow_ids}
-        self.last_time = 0.0
-
-    def advance(self, t: float) -> None:
-        dt = t - self.last_time
-        if dt <= 0.0:
-            return
-        for fid, rate in self.in_rate.items():
-            self.delivered[fid] += rate * dt
-        self.last_time = t
-
-    def set_in(self, fid: int, rate: float) -> None:
-        self.in_rate[fid] = rate
-
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
-        return []
-
-    def snap(self, subqueue: int, target: float) -> None:  # pragma: no cover
-        raise RuntimeError("sink nodes have no buffers")
-
-    def reset_stats(self) -> None:
-        for fid in self.delivered:
-            self.delivered[fid] = 0.0
-
-    def arrived_of(self, fid: int) -> float:
-        return self.delivered.get(fid, 0.0)
-
-    def node_stats(self, measured: float) -> NodeStats:
-        delivered = sum(self.delivered.values())
-        return NodeStats(
-            name=self.name,
-            kind=self.kind,
-            arrived_work=delivered,
-            served_work=delivered,
-            lost_work=0.0,
-            loss_rate=0.0,
-            mean_occupancy=0.0,
-            mean_delay=0.0,
-            full_fraction=0.0,
-            empty_fraction=0.0,
-        )
+_Runtime = Union[_NodeRuntime, _StatelessRuntime]
 
 
 # --------------------------------------------------------------------- #
@@ -614,8 +536,11 @@ class _SinkRuntime(_NodeRuntime):
 # --------------------------------------------------------------------- #
 
 
-def _compile(topology: Topology) -> list[_NodeRuntime]:
-    """Build runtime state per node, in declaration order."""
+def _compile(
+    topology: Topology,
+) -> tuple[list[_Runtime], list[_NodeRuntime], list[list[_NodeRuntime]]]:
+    """Runtimes in declaration order, the stateful ones in topological
+    order, and each flow's stateful hops (``downstream`` wired along them)."""
     visiting: dict[str, list[int]] = {node.name: [] for node in topology.nodes}
     priorities: dict[str, dict[int, list[int]]] = {
         node.name: {} for node in topology.nodes
@@ -624,7 +549,7 @@ def _compile(topology: Topology) -> list[_NodeRuntime]:
         for hop in flow.route:
             visiting[hop].append(fid)
             priorities[hop].setdefault(flow.priority, []).append(fid)
-    runtimes: list[_NodeRuntime] = []
+    runtimes: list[_Runtime] = []
     for index, node in enumerate(topology.nodes):
         fids = visiting[node.name]
         if isinstance(node, QueueNode):
@@ -632,11 +557,18 @@ def _compile(topology: Topology) -> list[_NodeRuntime]:
         elif isinstance(node, PriorityNode):
             classes = priorities[node.name] or {0: []}
             runtimes.append(_PriorityRuntime(node, index, classes))
-        elif isinstance(node, MuxNode):
-            runtimes.append(_MuxRuntime(node, index, fids))
         else:
-            runtimes.append(_SinkRuntime(node, index, fids))
-    return runtimes
+            runtimes.append(_StatelessRuntime(node, fids))
+    by_name = {runtime.name: runtime for runtime in runtimes}
+
+    def stateful(names: tuple[str, ...]) -> list[_NodeRuntime]:
+        return [rt for name in names if isinstance(rt := by_name[name], _NodeRuntime)]
+
+    routes = [stateful(flow.route) for flow in topology.flows]
+    for fid, hops in enumerate(routes):
+        for here, after in zip(hops, hops[1:]):
+            here.downstream[fid] = after
+    return runtimes, stateful(topology.order), routes
 
 
 def simulate(
@@ -668,28 +600,45 @@ def simulate(
     """
     duration = check_positive("duration", duration)
     warmup = check_nonnegative("warmup", warmup)
-    runtimes = _compile(topology)
-    index_of = {node.name: i for i, node in enumerate(topology.nodes)}
-    order = [index_of[name] for name in topology.order]
-    # next_hop[fid][node_index] -> downstream node index (or -1).
-    next_hop = [
-        {
-            index_of[src]: index_of[dst]
-            for src, dst in zip(flow.route[:-1], flow.route[1:])
-        }
-        for flow in topology.flows
-    ]
-    entry = [index_of[flow.route[0]] for fid, flow in enumerate(topology.flows)]
-    flow_names = [flow.name for flow in topology.flows]
+    runtimes, order, routes = _compile(topology)
+    by_name = {runtime.name: runtime for runtime in runtimes}
+    by_index = {runtime.index: runtime for runtime in order}
+    flows = topology.flows
+    first_hop = [hops[0] if hops else None for hops in routes]
+    # A mux forwards a rate only when it changes, so a flow entering
+    # through one reaches its first stateful hop on a change only; one
+    # entering a queue directly marks it on every rate event.
+    gated = [not isinstance(by_name[flow.route[0]], _NodeRuntime) for flow in flows]
+    entry_rate = [0.0] * len(flows)
+    # Flows with no stateful hop keep their offered work here, settled
+    # lazily at their own rate changes and at control events.
+    unbuffered = [fid for fid, hop in enumerate(first_hop) if hop is None]
+    source_work = [0.0] * len(flows)
+    source_since = [0.0] * len(flows)
+    flow_names = [flow.name for flow in flows]
 
     loop = EventLoop()
     end_time = warmup + duration
     trace: list[tuple[float, str, str, float]] = []
 
+    def schedule_boundary(
+        node: int, subqueue: int, epoch: int, at: float, target: float, tag: str
+    ) -> None:
+        if at <= end_time:
+            loop.schedule(
+                at,
+                Event(BOUNDARY, node=node, subqueue=subqueue, epoch=epoch,
+                      value=target, tag=tag),
+            )
+
+    def settle(fid: int, t: float) -> None:
+        source_work[fid] += entry_rate[fid] * (t - source_since[fid])
+        source_since[fid] = t
+
     # Per-flow segment iterators; one outstanding rate event per flow.
     iterators = []
-    pending_duration = [0.0] * len(topology.flows)
-    for fid, flow in enumerate(topology.flows):
+    pending_duration = [0.0] * len(flows)
+    for fid, flow in enumerate(flows):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(fid,))
         )
@@ -707,14 +656,13 @@ def simulate(
         loop.schedule(warmup, Event(CONTROL, tag="reset"))
     loop.schedule(end_time, Event(CONTROL, tag="end"))
 
-    dirty = [False] * len(runtimes)
     measure_start = 0.0
     started = time.perf_counter()
 
     while loop:
         t, _seq, event = loop.pop()
         if event.kind == BOUNDARY:
-            runtime = runtimes[event.node]
+            runtime = by_index[event.node]
             if runtime.buffer_epoch(event.subqueue) != event.epoch:
                 loop.stale += 1
                 continue
@@ -723,109 +671,97 @@ def simulate(
             if event.kind == RATE_CHANGE:
                 target = flow_names[event.flow]
             elif event.kind == BOUNDARY:
-                target = f"{runtimes[event.node].name}[{event.subqueue}]"
+                target = f"{by_index[event.node].name}[{event.subqueue}]"
             else:
                 target = ""
             trace.append((t, event.tag, target, event.value))
 
         if event.kind == RATE_CHANGE:
-            node_index = entry[event.flow]
-            runtime = runtimes[node_index]
-            runtime.advance(t)
-            runtime.set_in(event.flow, event.value)
-            dirty[node_index] = True
-            nxt = next(iterators[event.flow], None)
-            change_at = t + pending_duration[event.flow]
+            fid = event.flow
+            rate = event.value
+            hop = first_hop[fid]
+            if hop is None:
+                settle(fid, t)
+                entry_rate[fid] = rate
+            elif not gated[fid] or rate != entry_rate[fid]:
+                entry_rate[fid] = rate
+                hop.advance(t)
+                hop.set_in(fid, rate)
+                hop.dirty = True
+            nxt = next(iterators[fid], None)
+            change_at = t + pending_duration[fid]
             if nxt is not None and change_at < end_time:
                 seg_duration, seg_rate = nxt
-                pending_duration[event.flow] = float(seg_duration)
+                pending_duration[fid] = float(seg_duration)
                 loop.schedule(
                     change_at,
-                    Event(
-                        RATE_CHANGE,
-                        flow=event.flow,
-                        value=float(seg_rate),
-                        tag="rate",
-                    ),
+                    Event(RATE_CHANGE, flow=fid, value=float(seg_rate), tag="rate"),
                 )
         elif event.kind == BOUNDARY:
-            runtime = runtimes[event.node]
+            runtime = by_index[event.node]
             runtime.advance(t)
             runtime.snap(event.subqueue, event.value)
-            dirty[event.node] = True
+            runtime.dirty = True
         else:  # CONTROL
-            for runtime in runtimes:
+            for runtime in order:
                 runtime.advance(t)
+            for fid in unbuffered:
+                settle(fid, t)
             if event.tag == "reset":
-                for runtime in runtimes:
+                for runtime in order:
                     runtime.reset_stats()
+                for fid in unbuffered:
+                    source_work[fid] = 0.0
                 measure_start = t
                 continue
             break  # "end"
 
         # Propagate downstream in topological order: additions made while
-        # scanning are always at later positions, so one pass suffices.
-        for node_index in order:
-            if not dirty[node_index]:
+        # scanning are always at later positions, so one pass suffices.  A
+        # dirty runtime is already advanced to ``t``.
+        for runtime in order:
+            if not runtime.dirty:
                 continue
-            dirty[node_index] = False
-            runtime = runtimes[node_index]
-            runtime.advance(t)
-
-            def _schedule_boundary(
-                delta: float,
-                subqueue: int,
-                target: float,
-                tag: str,
-                _node: int = node_index,
-                _runtime: _NodeRuntime = runtime,
-                _t: float = t,
-            ) -> None:
-                hit_at = _t + delta
-                if hit_at <= end_time:
-                    loop.schedule(
-                        hit_at,
-                        Event(
-                            BOUNDARY,
-                            node=_node,
-                            subqueue=subqueue,
-                            epoch=_runtime.buffer_epoch(subqueue),
-                            value=target,
-                            tag=tag,
-                        ),
-                    )
-
-            for fid, rate in runtime.recompute(_schedule_boundary):
-                downstream = next_hop[fid].get(node_index, -1)
-                if downstream >= 0:
-                    successor = runtimes[downstream]
-                    successor.advance(t)
-                    successor.set_in(fid, rate)
-                    dirty[downstream] = True
+            runtime.dirty = False
+            changed = runtime.recompute(t, schedule_boundary)
+            downstream = runtime.downstream
+            if downstream:
+                for fid, rate in changed:
+                    successor = downstream.get(fid)
+                    if successor is not None:
+                        if not successor.dirty:
+                            successor.advance(t)
+                            successor.dirty = True
+                        successor.set_in(fid, rate)
 
     wall = time.perf_counter() - started
     measured = end_time - measure_start
 
-    node_stats = {
-        runtime.name: runtime.node_stats(measured) for runtime in runtimes
-    }
     flow_stats: dict[str, FlowStats] = {}
-    for fid, flow in enumerate(topology.flows):
-        offered = runtimes[entry[fid]].arrived_of(fid)
-        sink = runtimes[index_of[flow.route[-1]]]
-        delivered = sink.arrived_of(fid)
-        lost = sum(runtimes[index_of[hop]].lost_of(fid) for hop in flow.route)
-        backlog_integral = sum(
-            runtimes[index_of[hop]].backlog_integral_of(fid) for hop in flow.route
-        )
+    for fid, flow in enumerate(flows):
+        buffers = [hop.buffer_of(fid) for hop in routes[fid]]
+        offered = buffers[0].arrived[fid] if buffers else source_work[fid]
+        # Walk the route: a stateless hop carries what its upstream served.
+        carried = offered
+        for name in flow.route:
+            node = by_name[name]
+            if isinstance(node, _NodeRuntime):
+                carried = node.buffer_of(fid).served[fid]
+            else:
+                node.arrived[fid] = carried
+        lost = sum(buf.lost[fid] for buf in buffers)
+        backlog_integral = sum(buf.backlog_integral[fid] for buf in buffers)
         flow_stats[flow.name] = FlowStats(
             name=flow.name,
             offered_work=offered,
-            delivered_work=delivered,
+            delivered_work=carried,
             lost_work=lost,
             loss_rate=lost / offered if offered > 0.0 else 0.0,
-            mean_delay=backlog_integral / delivered if delivered > 0.0 else 0.0,
+            mean_delay=backlog_integral / carried if carried > 0.0 else 0.0,
         )
+    node_stats = {
+        runtime.name: runtime.node_stats(measured) for runtime in runtimes
+    }
 
     return NetSimResult(
         duration=duration,

@@ -121,6 +121,15 @@ class TestCommands:
             ["dimension", "--hurst", "1.5", "--buffer", "0.1"],
             ["compare", "--hurst", "1.5", "--buffer", "0.1"],
             ["solve", "--utilization", "-1", "--buffer", "0.1"],
+            ["horizon", "--utilization", "-1", "--buffer", "0.1"],
+            ["horizon", "--buffer", "-1"],
+            ["horizon", "--no-reset-probability", "2", "--buffer", "0.1"],
+            ["dimension", "--buffer", "-1"],
+            ["dimension", "--target-loss", "2", "--buffer", "0.1"],
+            ["netsim", "mux", "--sources", "0"],
+            ["netsim", "tandem", "--hops", "0"],
+            ["netsim", "mux", "--duration", "-1"],
+            ["netsim", "tandem", "--warmup", "-1", "--duration", "1"],
         ],
     )
     def test_out_of_range_model_flag_is_a_usage_error(self, argv, capsys):
