@@ -91,7 +91,9 @@ class ProcessPoolBackend:
 
     The executor is created on first :meth:`run_batches` and reused
     across runs until :meth:`close` (also triggered by ``with backend:``),
-    so warm sweeps skip worker start-up entirely.
+    so warm sweeps skip worker start-up entirely.  When a worker dies,
+    the round that meets the broken pool raises ``BrokenProcessPool``
+    and drops the pool, so the next round starts a fresh one.
     """
 
     def __init__(
@@ -154,13 +156,21 @@ class ProcessPoolBackend:
             yield from SerialBackend().run_batches(batches)
             return
         from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
 
         pool = self._executor()
-        pending = {pool.submit(_solve_batch, batch) for batch in batches}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield future.result()
+        try:
+            pending = {pool.submit(_solve_batch, batch) for batch in batches}
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    yield future.result()
+        except BrokenProcessPool:
+            # A dead worker broke the pool for good: drop it without
+            # waiting on it, so the next round starts a fresh one.
+            self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
     def close(self) -> None:
         """Shut the warm pool down (idempotent; a later run re-creates it)."""

@@ -7,9 +7,9 @@ The subsystem splits cleanly into entities, events and state:
   every ``repro.traffic`` generator into piecewise-constant rates) and
   :mod:`~repro.netsim.topology` (nodes + links + routed flows, validated
   and topologically ordered at construction);
-* **events** — :mod:`~repro.netsim.events`, a binary-heap loop with the
-  deterministic ``(time, kind, seq)`` tie-break and epoch-invalidated
-  boundary events;
+* **events** — :mod:`~repro.netsim.events`, a binary-heap loop of plain
+  ``(time, kind, seq, fields)`` tuples with the deterministic
+  ``(time, kind, seq)`` tie-break and epoch-invalidated boundary events;
 * **state** — :mod:`~repro.netsim.simulate`, which compiles a topology
   into mutable fluid-buffer runtimes and integrates them linearly
   between events.
@@ -21,7 +21,7 @@ as the simulator's oracle (wired up in :mod:`repro.verify`).  The
 multiplexer reference experiments behind ``repro-lrd netsim``.
 """
 
-from repro.netsim.events import BOUNDARY, CONTROL, RATE_CHANGE, Event, EventLoop
+from repro.netsim.events import BOUNDARY, CONTROL, RATE_CHANGE, EventLoop
 from repro.netsim.nodes import MuxNode, Node, PriorityNode, QueueNode, SinkNode
 from repro.netsim.presets import (
     PresetCell,
@@ -39,7 +39,6 @@ __all__ = [
     "BOUNDARY",
     "CONTROL",
     "RATE_CHANGE",
-    "Event",
     "EventLoop",
     "Flow",
     "FlowStats",

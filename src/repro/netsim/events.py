@@ -1,10 +1,11 @@
 """The event layer: a binary-heap loop with deterministic tie-breaking.
 
-Every state change in the simulator is an :class:`Event` popped off an
-:class:`EventLoop`.  The heap key is the triple ``(time, priority, seq)``:
+Every state change in the simulator is an event popped off an
+:class:`EventLoop`.  An event is a plain tuple ``(time, kind, seq,
+fields)``, and its first three entries are the heap key:
 
 * ``time`` — simulation seconds;
-* ``priority`` — the event *kind's* rank (:data:`RATE_CHANGE` before
+* ``kind`` — the event kind's rank (:data:`RATE_CHANGE` before
   :data:`BOUNDARY` before :data:`CONTROL`), so that simultaneous events
   are applied in a fixed, meaningful order — a source changing its rate
   at the exact instant a buffer fills is applied first, and the boundary
@@ -13,6 +14,15 @@ Every state change in the simulator is an :class:`Event` popped off an
   order *total*.  Two runs that schedule the same events in the same
   order pop them in the same order, bit for bit; nothing about the heap
   order depends on object identity, hash randomization or dict layout.
+  Because ``seq`` is unique, the heap never compares ``fields``.
+
+``fields`` is the tuple of extra arguments given to
+:meth:`EventLoop.schedule`; the loop never looks inside it.  The
+simulator schedules, per kind:
+
+* :data:`RATE_CHANGE` — ``(flow, rate)``;
+* :data:`BOUNDARY` — ``(node, subqueue, epoch, target, tag)``;
+* :data:`CONTROL` — ``(tag,)``.
 
 Boundary events cannot be deleted from a binary heap cheaply, so they
 are invalidated by *epoch*: each buffer stamps the events it schedules
@@ -28,7 +38,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "BOUNDARY",
     "CONTROL",
-    "Event",
     "EventLoop",
     "RATE_CHANGE",
 ]
@@ -43,63 +52,28 @@ CONTROL = 2
 """Harness events: the warmup stats reset and the end of the horizon."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One scheduled state change.
-
-    Attributes
-    ----------
-    kind:
-        :data:`RATE_CHANGE`, :data:`BOUNDARY` or :data:`CONTROL`.
-    flow:
-        Flow index for rate changes (-1 otherwise).
-    node:
-        Node index for boundary events (-1 otherwise).
-    subqueue:
-        Priority-class index within the node (0 for plain queues).
-    epoch:
-        Buffer epoch stamp; a boundary event is stale when the buffer
-        has moved on to a later epoch.
-    value:
-        New rate for rate changes; target occupancy (0 or B) for
-        boundary events; unused (0.0) for control events.
-    tag:
-        Human-readable label recorded in the event trace
-        (``"rate"``, ``"empty"``, ``"full"``, ``"reset"``, ``"end"``).
-    """
-
-    kind: int
-    flow: int = -1
-    node: int = -1
-    subqueue: int = 0
-    epoch: int = 0
-    value: float = 0.0
-    tag: str = ""
-
-
 @dataclass
 class EventLoop:
-    """Deterministic future-event list (binary heap).
+    """Deterministic future-event list (binary heap of plain tuples).
 
-    The loop never inspects event contents: it orders, counts and hands
+    The loop never inspects event fields: it orders, counts and hands
     them back.  ``processed`` counts popped events the simulator acted
     on; ``stale`` counts popped boundary events whose epoch had lapsed.
     """
 
-    _heap: list[tuple[float, int, int, Event]] = field(default_factory=list)
+    _heap: list[tuple[float, int, int, tuple]] = field(default_factory=list)
     _seq: int = 0
     processed: int = 0
     stale: int = 0
 
-    def schedule(self, time: float, event: Event) -> None:
+    def schedule(self, time: float, kind: int, *fields: object) -> None:
         """Add an event; ties broken by kind priority, then schedule order."""
-        heapq.heappush(self._heap, (time, event.kind, self._seq, event))
+        heapq.heappush(self._heap, (time, kind, self._seq, fields))
         self._seq += 1
 
-    def pop(self) -> tuple[float, int, Event]:
-        """Remove and return the next ``(time, seq, event)``."""
-        time, _, seq, event = heapq.heappop(self._heap)
-        return time, seq, event
+    def pop(self) -> tuple[float, int, int, tuple]:
+        """Remove and return the next ``(time, kind, seq, fields)``."""
+        return heapq.heappop(self._heap)
 
     def peek_time(self) -> float:
         """Time of the next event (heap must be non-empty)."""

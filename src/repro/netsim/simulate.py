@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from repro.core.validation import check_nonnegative, check_positive
-from repro.netsim.events import BOUNDARY, CONTROL, RATE_CHANGE, Event, EventLoop
+from repro.netsim.events import BOUNDARY, CONTROL, RATE_CHANGE, EventLoop
 from repro.netsim.nodes import MuxNode, PriorityNode, QueueNode, SinkNode
 from repro.netsim.topology import Topology
 
@@ -146,15 +147,21 @@ class NetSimResult:
 
 
 class _FluidBuffer:
-    """One finite fluid buffer with piecewise-constant input and service."""
+    """One finite fluid buffer with piecewise-constant input and service.
+
+    Per-flow state lives in lists indexed by slot, in the order the
+    flows were given; ``slot`` maps a flow id to its index.  ``handoff``
+    holds the ``(slot, flow)`` pairs whose output feeds a next stateful
+    hop: :meth:`recompute` reports output changes for those flows only.
+    """
 
     __slots__ = (
         "capacity", "service", "occupancy", "last_time", "epoch",
-        "in_rate", "in_total", "out_rate", "out_total",
-        "loss_rate", "loss_total", "drift", "at_full", "at_empty",
-        "backlog", "arrived", "served", "lost", "arrived_total", "served_total",
-        "lost_total", "occupancy_integral", "backlog_integral",
-        "full_time", "empty_time",
+        "in_total", "out_total", "loss_total", "drift", "at_full", "at_empty",
+        "arrived_total", "served_total", "lost_total", "occupancy_integral",
+        "full_time", "empty_time", "slot", "handoff",
+        "in_rate", "out_rate", "loss_rate", "backlog",
+        "arrived", "served", "lost", "backlog_integral",
     )
 
     def __init__(self, capacity: float, flow_ids: list[int]) -> None:
@@ -163,29 +170,37 @@ class _FluidBuffer:
         self.occupancy = 0.0
         self.last_time = 0.0
         self.epoch = 0
-        self.in_rate = {fid: 0.0 for fid in flow_ids}
         self.in_total = 0.0
-        self.out_rate = {fid: 0.0 for fid in flow_ids}
         self.out_total = 0.0
-        self.loss_rate = {fid: 0.0 for fid in flow_ids}
         self.loss_total = 0.0
         self.drift = 0.0
         self.at_full = False
         self.at_empty = True
-        self.backlog = {fid: 0.0 for fid in flow_ids}
-        self.arrived = {fid: 0.0 for fid in flow_ids}
-        self.served = {fid: 0.0 for fid in flow_ids}
-        self.lost = {fid: 0.0 for fid in flow_ids}
         self.arrived_total = 0.0
         self.served_total = 0.0
         self.lost_total = 0.0
         self.occupancy_integral = 0.0
-        self.backlog_integral = {fid: 0.0 for fid in flow_ids}
         self.full_time = 0.0
         self.empty_time = 0.0
+        self.slot = {fid: index for index, fid in enumerate(flow_ids)}
+        self.handoff: list[tuple[int, int]] = []
+        zeros = [0.0] * len(flow_ids)
+        self.in_rate = list(zeros)
+        self.out_rate = list(zeros)
+        self.loss_rate = list(zeros)
+        self.backlog = list(zeros)
+        self.arrived = list(zeros)
+        self.served = list(zeros)
+        self.lost = list(zeros)
+        self.backlog_integral = list(zeros)
 
     def advance(self, t: float) -> None:
-        """Integrate the current linear regime up to time ``t``."""
+        """Integrate the current linear regime up to time ``t``.
+
+        One pass integrates every flow and clamps its backlog at zero,
+        summing the clamped backlogs; :meth:`_rescale` then makes them
+        add up to the new occupancy.
+        """
         dt = t - self.last_time
         if dt <= 0.0:
             return
@@ -194,18 +209,21 @@ class _FluidBuffer:
         self.lost_total += self.loss_total * dt
         self.occupancy_integral += (self.occupancy + 0.5 * self.drift * dt) * dt
         arrived, served, lost = self.arrived, self.served, self.lost
-        out_rate, loss_rate = self.out_rate, self.loss_rate
         backlog, backlog_integral = self.backlog, self.backlog_integral
-        for fid, rate in self.in_rate.items():
-            arrived[fid] += rate * dt
-            loss = loss_rate[fid]
-            lost[fid] += loss * dt
-            out = out_rate[fid]
-            served[fid] += out * dt
+        total = 0.0
+        for i, rate, out, loss, held in zip(
+            range(len(backlog)), self.in_rate, self.out_rate, self.loss_rate, backlog
+        ):
+            arrived[i] += rate * dt
+            lost[i] += loss * dt
+            served[i] += out * dt
             net = rate - out - loss
-            held = backlog[fid]
-            backlog_integral[fid] += (held + 0.5 * net * dt) * dt
-            backlog[fid] = held + net * dt
+            backlog_integral[i] += (held + 0.5 * net * dt) * dt
+            held += net * dt
+            if held < 0.0:
+                held = 0.0
+            backlog[i] = held
+            total += held
         if self.at_full:
             self.full_time += dt
         elif self.at_empty:
@@ -213,37 +231,40 @@ class _FluidBuffer:
         self.occupancy = min(
             self.capacity, max(0.0, self.occupancy + self.drift * dt)
         )
-        self._reconcile_backlogs()
+        self._rescale(total)
         self.last_time = t
 
-    def _reconcile_backlogs(self) -> None:
-        """Clamp per-flow backlogs and rescale them to sum to the aggregate."""
-        backlog = self.backlog
-        total = 0.0
-        for fid, held in backlog.items():
-            if held < 0.0:
-                held = 0.0
-                backlog[fid] = 0.0
-            total += held
+    def _rescale(self, total: float) -> None:
+        """Rescale the per-flow backlogs, which sum to ``total``, to the aggregate."""
         if total > 0.0:
             scale = self.occupancy / total
-            for fid in backlog:
-                backlog[fid] *= scale
+            self.backlog = [held * scale for held in self.backlog]
         elif self.occupancy > 0.0 and self.in_total > 0.0:
-            for fid, rate in self.in_rate.items():
-                backlog[fid] = self.occupancy * rate / self.in_total
+            occupancy, in_total = self.occupancy, self.in_total
+            self.backlog = [occupancy * rate / in_total for rate in self.in_rate]
 
     def snap(self, target: float) -> None:
-        """Land exactly on a boundary (cancels accumulated float drift)."""
-        self.occupancy = min(self.capacity, max(0.0, target))
-        self._reconcile_backlogs()
+        """Land exactly on a boundary (cancels accumulated float drift).
 
-    def recompute(self) -> list[tuple[int, float]]:
-        """Re-derive the linear regime; returns the changed ``(flow, out_rate)`` pairs."""
+        Backlogs are never negative between events, so a snap only
+        rescales them.
+        """
+        self.occupancy = min(self.capacity, max(0.0, target))
+        total = 0.0
+        for held in self.backlog:
+            total += held
+        self._rescale(total)
+
+    def recompute(self) -> Sequence[tuple[int, float]]:
+        """Re-derive the linear regime.
+
+        Returns the changed ``(flow, out_rate)`` pairs of the flows in
+        ``handoff``; a buffer with no handoff builds no change list.
+        """
         self.epoch += 1
         in_rate = self.in_rate
         total_in = 0.0
-        for rate in in_rate.values():
+        for rate in in_rate:
             total_in += rate
         self.in_total = total_in
         capacity = self.capacity
@@ -270,30 +291,34 @@ class _FluidBuffer:
             self.at_full = False
             self.at_empty = False
         self.loss_total = loss_total
-        changed: list[tuple[int, float]] = []
+        self.out_total = out_total
         # Output split: backlog shares while fluid is queued, input shares
         # on pass-through; loss splits by input shares (frozen per regime).
         backlog = self.backlog
         backlog_total = 0.0
         if self.occupancy > 0.0:
-            for held in backlog.values():
+            for held in backlog:
                 backlog_total += held
-        out_rate, loss_rate = self.out_rate, self.loss_rate
-        for fid, rate in in_rate.items():
-            if out_total <= 0.0:
-                out = 0.0
-            elif backlog_total > 0.0:
-                out = out_total * backlog[fid] / backlog_total
-            elif total_in > 0.0:
-                out = out_total * rate / total_in
-            else:
-                out = 0.0
-            if out != out_rate[fid]:
-                out_rate[fid] = out
-                changed.append((fid, out))
-            loss_rate[fid] = loss_total * rate / total_in if total_in > 0.0 else 0.0
-        self.out_total = out_total
-        return changed
+        if out_total <= 0.0:
+            out_rate = [0.0] * len(in_rate)
+        elif backlog_total > 0.0:
+            out_rate = [out_total * held / backlog_total for held in backlog]
+        elif total_in > 0.0:
+            out_rate = [out_total * rate / total_in for rate in in_rate]
+        else:
+            out_rate = [0.0] * len(in_rate)
+        if total_in > 0.0:
+            self.loss_rate = [loss_total * rate / total_in for rate in in_rate]
+        else:
+            self.loss_rate = [0.0] * len(in_rate)
+        previous, self.out_rate = self.out_rate, out_rate
+        if not self.handoff:
+            return ()
+        return [
+            (fid, out_rate[slot])
+            for slot, fid in self.handoff
+            if out_rate[slot] != previous[slot]
+        ]
 
     def boundary(self) -> tuple[float, float, str] | None:
         """``(time_delta, target, tag)`` of the next boundary hit, if any."""
@@ -310,11 +335,11 @@ class _FluidBuffer:
         self.occupancy_integral = 0.0
         self.full_time = 0.0
         self.empty_time = 0.0
-        for fid in self.arrived:
-            self.arrived[fid] = 0.0
-            self.served[fid] = 0.0
-            self.lost[fid] = 0.0
-            self.backlog_integral[fid] = 0.0
+        zeros = [0.0] * len(self.arrived)
+        self.arrived = list(zeros)
+        self.served = list(zeros)
+        self.lost = list(zeros)
+        self.backlog_integral = list(zeros)
 
 
 _Scheduler = Callable[[int, int, int, float, float, str], None]
@@ -342,10 +367,12 @@ class _NodeRuntime:
         raise NotImplementedError
 
     def set_in(self, fid: int, rate: float) -> None:
-        raise NotImplementedError
+        buf, slot = self.slot_of(fid)
+        buf.in_rate[slot] = rate
 
-    def recompute(self, t: float, schedule: _Scheduler) -> list[tuple[int, float]]:
-        """Re-derive regimes at ``t``; returns changed ``(flow, out_rate)`` pairs."""
+    def recompute(self, t: float, schedule: _Scheduler) -> Sequence[tuple[int, float]]:
+        """Re-derive regimes at ``t``; returns the changed ``(flow, out_rate)``
+        pairs of the flows that have a next stateful hop."""
         raise NotImplementedError
 
     def buffer_epoch(self, subqueue: int) -> int:
@@ -357,8 +384,8 @@ class _NodeRuntime:
     def reset_stats(self) -> None:
         raise NotImplementedError
 
-    def buffer_of(self, fid: int) -> _FluidBuffer:
-        """The buffer carrying flow ``fid`` (its per-flow integrals)."""
+    def slot_of(self, fid: int) -> tuple[_FluidBuffer, int]:
+        """The buffer carrying flow ``fid`` and the flow's slot in it."""
         raise NotImplementedError
 
     def node_stats(self, measured: float) -> NodeStats:
@@ -378,10 +405,7 @@ class _QueueRuntime(_NodeRuntime):
     def advance(self, t: float) -> None:
         self.buffer.advance(t)
 
-    def set_in(self, fid: int, rate: float) -> None:
-        self.buffer.in_rate[fid] = rate
-
-    def recompute(self, t: float, schedule: _Scheduler) -> list[tuple[int, float]]:
+    def recompute(self, t: float, schedule: _Scheduler) -> Sequence[tuple[int, float]]:
         buf = self.buffer
         changed = buf.recompute()
         hit = buf.boundary()
@@ -399,8 +423,8 @@ class _QueueRuntime(_NodeRuntime):
     def reset_stats(self) -> None:
         self.buffer.reset_stats()
 
-    def buffer_of(self, fid: int) -> _FluidBuffer:
-        return self.buffer
+    def slot_of(self, fid: int) -> tuple[_FluidBuffer, int]:
+        return self.buffer, self.buffer.slot[fid]
 
     def node_stats(self, measured: float) -> NodeStats:
         buf = self.buffer
@@ -446,10 +470,7 @@ class _PriorityRuntime(_NodeRuntime):
         for buf in self.classes:
             buf.advance(t)
 
-    def set_in(self, fid: int, rate: float) -> None:
-        self.classes[self.class_of[fid]].in_rate[fid] = rate
-
-    def recompute(self, t: float, schedule: _Scheduler) -> list[tuple[int, float]]:
+    def recompute(self, t: float, schedule: _Scheduler) -> Sequence[tuple[int, float]]:
         changed: list[tuple[int, float]] = []
         available = self.service_rate
         for position, buf in enumerate(self.classes):
@@ -472,8 +493,9 @@ class _PriorityRuntime(_NodeRuntime):
         for buf in self.classes:
             buf.reset_stats()
 
-    def buffer_of(self, fid: int) -> _FluidBuffer:
-        return self.classes[self.class_of[fid]]
+    def slot_of(self, fid: int) -> tuple[_FluidBuffer, int]:
+        buf = self.classes[self.class_of[fid]]
+        return buf, buf.slot[fid]
 
     def node_stats(self, measured: float) -> NodeStats:
         arrived = sum(buf.arrived_total for buf in self.classes)
@@ -568,6 +590,8 @@ def _compile(
     for fid, hops in enumerate(routes):
         for here, after in zip(hops, hops[1:]):
             here.downstream[fid] = after
+            buf, slot = here.slot_of(fid)
+            buf.handoff.append((slot, fid))
     return runtimes, stateful(topology.order), routes
 
 
@@ -625,11 +649,7 @@ def simulate(
         node: int, subqueue: int, epoch: int, at: float, target: float, tag: str
     ) -> None:
         if at <= end_time:
-            loop.schedule(
-                at,
-                Event(BOUNDARY, node=node, subqueue=subqueue, epoch=epoch,
-                      value=target, tag=tag),
-            )
+            loop.schedule(at, BOUNDARY, node, subqueue, epoch, target, tag)
 
     def settle(fid: int, t: float) -> None:
         source_work[fid] += entry_rate[fid] * (t - source_since[fid])
@@ -648,37 +668,33 @@ def simulate(
         if first is not None:
             seg_duration, seg_rate = first
             pending_duration[fid] = float(seg_duration)
-            loop.schedule(
-                0.0,
-                Event(RATE_CHANGE, flow=fid, value=float(seg_rate), tag="rate"),
-            )
+            loop.schedule(0.0, RATE_CHANGE, fid, float(seg_rate))
     if warmup > 0.0:
-        loop.schedule(warmup, Event(CONTROL, tag="reset"))
-    loop.schedule(end_time, Event(CONTROL, tag="end"))
+        loop.schedule(warmup, CONTROL, "reset")
+    loop.schedule(end_time, CONTROL, "end")
 
     measure_start = 0.0
     started = time.perf_counter()
 
     while loop:
-        t, _seq, event = loop.pop()
-        if event.kind == BOUNDARY:
-            runtime = by_index[event.node]
-            if runtime.buffer_epoch(event.subqueue) != event.epoch:
+        t, kind, _seq, fields = loop.pop()
+        if kind == BOUNDARY:
+            node, subqueue, epoch, value, tag = fields
+            runtime = by_index[node]
+            if runtime.buffer_epoch(subqueue) != epoch:
                 loop.stale += 1
                 continue
         loop.processed += 1
         if record_trace:
-            if event.kind == RATE_CHANGE:
-                target = flow_names[event.flow]
-            elif event.kind == BOUNDARY:
-                target = f"{by_index[event.node].name}[{event.subqueue}]"
+            if kind == RATE_CHANGE:
+                trace.append((t, "rate", flow_names[fields[0]], fields[1]))
+            elif kind == BOUNDARY:
+                trace.append((t, tag, f"{runtime.name}[{subqueue}]", value))
             else:
-                target = ""
-            trace.append((t, event.tag, target, event.value))
+                trace.append((t, fields[0], "", 0.0))
 
-        if event.kind == RATE_CHANGE:
-            fid = event.flow
-            rate = event.value
+        if kind == RATE_CHANGE:
+            fid, rate = fields
             hop = first_hop[fid]
             if hop is None:
                 settle(fid, t)
@@ -693,21 +709,17 @@ def simulate(
             if nxt is not None and change_at < end_time:
                 seg_duration, seg_rate = nxt
                 pending_duration[fid] = float(seg_duration)
-                loop.schedule(
-                    change_at,
-                    Event(RATE_CHANGE, flow=fid, value=float(seg_rate), tag="rate"),
-                )
-        elif event.kind == BOUNDARY:
-            runtime = by_index[event.node]
+                loop.schedule(change_at, RATE_CHANGE, fid, float(seg_rate))
+        elif kind == BOUNDARY:
             runtime.advance(t)
-            runtime.snap(event.subqueue, event.value)
+            runtime.snap(subqueue, value)
             runtime.dirty = True
         else:  # CONTROL
             for runtime in order:
                 runtime.advance(t)
             for fid in unbuffered:
                 settle(fid, t)
-            if event.tag == "reset":
+            if fields[0] == "reset":
                 for runtime in order:
                     runtime.reset_stats()
                 for fid in unbuffered:
@@ -723,34 +735,36 @@ def simulate(
             if not runtime.dirty:
                 continue
             runtime.dirty = False
-            changed = runtime.recompute(t, schedule_boundary)
             downstream = runtime.downstream
-            if downstream:
-                for fid, rate in changed:
-                    successor = downstream.get(fid)
-                    if successor is not None:
-                        if not successor.dirty:
-                            successor.advance(t)
-                            successor.dirty = True
-                        successor.set_in(fid, rate)
+            for fid, rate in runtime.recompute(t, schedule_boundary):
+                successor = downstream[fid]
+                if not successor.dirty:
+                    successor.advance(t)
+                    successor.dirty = True
+                successor.set_in(fid, rate)
 
     wall = time.perf_counter() - started
     measured = end_time - measure_start
 
     flow_stats: dict[str, FlowStats] = {}
     for fid, flow in enumerate(flows):
-        buffers = [hop.buffer_of(fid) for hop in routes[fid]]
-        offered = buffers[0].arrived[fid] if buffers else source_work[fid]
+        slots = [hop.slot_of(fid) for hop in routes[fid]]
+        if slots:
+            buf, slot = slots[0]
+            offered = buf.arrived[slot]
+        else:
+            offered = source_work[fid]
         # Walk the route: a stateless hop carries what its upstream served.
         carried = offered
         for name in flow.route:
             node = by_name[name]
             if isinstance(node, _NodeRuntime):
-                carried = node.buffer_of(fid).served[fid]
+                buf, slot = node.slot_of(fid)
+                carried = buf.served[slot]
             else:
                 node.arrived[fid] = carried
-        lost = sum(buf.lost[fid] for buf in buffers)
-        backlog_integral = sum(buf.backlog_integral[fid] for buf in buffers)
+        lost = sum(buf.lost[slot] for buf, slot in slots)
+        backlog_integral = sum(buf.backlog_integral[slot] for buf, slot in slots)
         flow_stats[flow.name] = FlowStats(
             name=flow.name,
             offered_work=offered,

@@ -8,6 +8,10 @@ list.  The fixture's batches of one keep the pool fanning out.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -112,6 +116,34 @@ class TestWarmPool:
 
     def test_explicit_start_method_wins(self):
         assert ProcessPoolBackend(jobs=2, start_method="spawn").start_method == "spawn"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs POSIX signals")
+class TestBrokenPool:
+    """A dead worker costs one round; the next round runs on a fresh pool."""
+
+    def test_round_after_a_killed_worker_fails_once(self, indexed_tasks):
+        serial = {i: r for i, r, _ in _triples(SerialBackend(), indexed_tasks)}
+        with ProcessPoolBackend(jobs=2) as backend:
+            _triples(backend, indexed_tasks)
+            broken = backend._pool
+            os.kill(broken.submit(os.getpid).result(), signal.SIGKILL)
+            # Let the pool see the death, so the next round meets a pool
+            # already marked broken rather than racing the detection.
+            deadline = time.monotonic() + 30.0
+            while not broken._broken:
+                assert time.monotonic() < deadline, "pool never saw the dead worker"
+                time.sleep(0.01)
+            with pytest.raises(BrokenProcessPool):
+                _triples(backend, indexed_tasks)
+            assert backend._pool is None
+            pooled = {i: r for i, r, _ in _triples(backend, indexed_tasks)}
+            assert backend._pool is not None and backend._pool is not broken
+        assert set(pooled) == set(serial)
+        for index, result in pooled.items():
+            assert result.lower == serial[index].lower
+            assert result.upper == serial[index].upper
+            assert result.iterations == serial[index].iterations
 
 
 class TestResolveBackend:
