@@ -15,13 +15,16 @@ finite cutoff ``T_c`` the correlation is *exactly zero* beyond lag ``T_c``.
 
 The class also exposes sample-path generation (interval sequences and
 binned rate traces) used by the validation simulators and the shuffle
-experiments.
+experiments.  :func:`binned_rate_trace` is the one covering-path sampler
+behind every renewal model's ``rate_trace``: this source's and the
+Markov-modulated twin's in :mod:`repro.traffic.mmpp`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from repro.core.marginal import DiscreteMarginal
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.validation import check_cutoff, check_in_open_interval, check_positive
 
-__all__ = ["CutoffFluidSource", "SourcePath"]
+__all__ = ["CutoffFluidSource", "RenewalModel", "SourcePath", "binned_rate_trace"]
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,50 @@ class SourcePath:
         # cumulative-work function at the interval epochs.
         work_at_edges = np.interp(edges, epochs, cumulative_work)
         return np.diff(work_at_edges) / bin_width
+
+
+class RenewalModel(Protocol):
+    """A fluid source whose rate path is i.i.d. ``(duration, rate)`` pairs.
+
+    :class:`CutoffFluidSource` and
+    :class:`~repro.traffic.mmpp.MarkovModulatedSource` are the two; the
+    trace sampler below and netsim's ``RenewalSource`` take either.
+    """
+
+    @property
+    def mean_rate(self) -> float:
+        """Long-run mean fluid rate."""
+
+    @property
+    def mean_interval(self) -> float:
+        """Mean length of one interval."""
+
+    def sample_path(self, intervals: int, rng: np.random.Generator) -> SourcePath:
+        """Draw ``intervals`` i.i.d. ``(duration, rate)`` pairs."""
+
+
+def binned_rate_trace(
+    model: RenewalModel, duration: float, bin_width: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample ``model``'s path in batches until it covers ``duration``, then bin it.
+
+    Returns ``int(duration / bin_width)`` bins.  Each batch draws 20 %
+    more intervals than the uncovered time needs on average, and at
+    least 64.
+    """
+    duration = check_positive("duration", duration)
+    bin_width = check_positive("bin_width", bin_width)
+    mean_interval = model.mean_interval
+    batches: list[SourcePath] = []
+    covered = 0.0
+    while covered < duration:
+        remaining = duration - covered
+        n = max(64, int(1.2 * remaining / mean_interval) + 1)
+        path = model.sample_path(n, rng)
+        batches.append(path)
+        covered += path.total_time
+    trace = SourcePath.joined(batches).to_binned_rates(bin_width)
+    return trace[: int(duration / bin_width)]
 
 
 @dataclass(frozen=True)
@@ -260,16 +307,4 @@ class CutoffFluidSource:
         self, duration: float, bin_width: float, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample a binned rate trace covering at least ``duration`` seconds."""
-        duration = check_positive("duration", duration)
-        bin_width = check_positive("bin_width", bin_width)
-        mean_interval = self.mean_interval
-        batches: list[SourcePath] = []
-        covered = 0.0
-        while covered < duration:
-            remaining = duration - covered
-            n = max(64, int(1.2 * remaining / mean_interval) + 1)
-            path = self.sample_path(n, rng)
-            batches.append(path)
-            covered += path.total_time
-        trace = SourcePath.joined(batches).to_binned_rates(bin_width)
-        return trace[: int(duration / bin_width)]
+        return binned_rate_trace(self, duration, bin_width, rng)

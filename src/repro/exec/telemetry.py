@@ -2,10 +2,10 @@
 
 Every cell the engine completes — solved or served from the cache —
 produces one :class:`CellTelemetry` record.  A :class:`SweepTelemetry`
-aggregates them: cache hit/miss counts, solver iterations actually spent
-(cached cells contribute zero), and wall-clock time.  The engine invokes
-an optional progress callback after each cell so interactive frontends
-(the CLI) can narrate long sweeps.
+folds them into running totals: cache hit/miss counts, solver iterations
+actually spent (cached cells contribute zero), and wall-clock time.  The
+engine invokes an optional progress callback after each cell so
+interactive frontends (the CLI) can narrate long sweeps.
 """
 
 from __future__ import annotations
@@ -92,71 +92,68 @@ ProgressCallback = Callable[[int, int, CellTelemetry], None]
 
 @dataclass
 class SweepTelemetry:
-    """Aggregated execution statistics (accumulates across engine runs)."""
+    """Aggregated execution statistics (accumulates across engine runs).
 
-    cells: list[CellTelemetry] = field(default_factory=list)
+    :meth:`record` folds each cell into running totals and keeps no
+    per-cell list, so a long-lived service's telemetry stays a few
+    counters however many cells it has recorded.
+
+    Attributes
+    ----------
+    total_cells, cache_hits:
+        Cells recorded, and those served from the persistent cache.
+    solver_iterations, fft_transforms, fft_seconds, boundary_seconds:
+        Summed over solved cells (cache hits cost zero): convolution
+        iterations, batched FFT operations, and seconds in the
+        convolution kernel and in spatial boundary handling.
+    solve_seconds:
+        Wall-clock seconds summed over all cells.
+    unconverged_cells:
+        Cells whose result did not converge, cached or solved.
+    batched_tasks, fallback_solo:
+        Solved cells that shared a multi-task kernel stack (width > 1),
+        and those that ran alone, with no stack-mate at any level.
+    """
+
+    total_cells: int = 0
+    cache_hits: int = 0
+    solver_iterations: int = 0
+    solve_seconds: float = 0.0
+    fft_transforms: int = 0
+    fft_seconds: float = 0.0
+    boundary_seconds: float = 0.0
+    unconverged_cells: int = 0
+    batched_tasks: int = 0
+    fallback_solo: int = 0
+    _shapes: dict[int, int] = field(default_factory=dict, repr=False)
 
     def record(self, cell: CellTelemetry) -> None:
-        self.cells.append(cell)
-
-    @property
-    def total_cells(self) -> int:
-        return len(self.cells)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for c in self.cells if c.cached)
+        self.total_cells += 1
+        self.solve_seconds += cell.seconds
+        if not cell.converged:
+            self.unconverged_cells += 1
+        if cell.cached:
+            self.cache_hits += 1
+            return
+        self.solver_iterations += cell.iterations
+        self.fft_transforms += cell.transforms
+        self.fft_seconds += cell.fft_seconds
+        self.boundary_seconds += cell.boundary_seconds
+        if cell.batch_width > 1:
+            self.batched_tasks += 1
+            self._shapes[cell.batch_width] = self._shapes.get(cell.batch_width, 0) + 1
+        else:
+            self.fallback_solo += 1
 
     @property
     def cache_misses(self) -> int:
-        return sum(1 for c in self.cells if not c.cached)
-
-    @property
-    def solver_iterations(self) -> int:
-        """Convolution iterations actually performed (cache hits cost zero)."""
-        return sum(c.iterations for c in self.cells if not c.cached)
-
-    @property
-    def solve_seconds(self) -> float:
-        return sum(c.seconds for c in self.cells)
-
-    @property
-    def fft_transforms(self) -> int:
-        """Batched FFT operations executed across all solved cells."""
-        return sum(c.transforms for c in self.cells if not c.cached)
-
-    @property
-    def fft_seconds(self) -> float:
-        """Seconds in the convolution kernel across all solved cells."""
-        return sum(c.fft_seconds for c in self.cells if not c.cached)
-
-    @property
-    def boundary_seconds(self) -> float:
-        """Seconds in spatial boundary handling across all solved cells."""
-        return sum(c.boundary_seconds for c in self.cells if not c.cached)
-
-    @property
-    def unconverged_cells(self) -> int:
-        return sum(1 for c in self.cells if not c.converged)
-
-    @property
-    def batched_tasks(self) -> int:
-        """Solved cells that shared a multi-task kernel stack (width > 1)."""
-        return sum(1 for c in self.cells if not c.cached and c.batch_width > 1)
-
-    @property
-    def fallback_solo(self) -> int:
-        """Solved cells that ran alone — no stack-mate at any refinement level."""
-        return sum(1 for c in self.cells if not c.cached and c.batch_width <= 1)
+        return self.total_cells - self.cache_hits
 
     def batch_shapes(self) -> dict[int, int]:
         """Histogram ``{stack width: solved cells}`` over batched cells."""
-        shapes: dict[int, int] = {}
-        for cell in self.cells:
-            if cell.cached or cell.batch_width <= 1:
-                continue
-            shapes[cell.batch_width] = shapes.get(cell.batch_width, 0) + 1
-        return dict(sorted(shapes.items()))
+        # Copied before iterating: ``/stats`` reads this on another thread
+        # while the engine's thread may add a width.
+        return dict(sorted(self._shapes.copy().items()))
 
     def summary(self) -> dict[str, float]:
         """Flat summary mapping, ready for ``reporting.format_mapping``."""

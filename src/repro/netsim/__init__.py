@@ -3,8 +3,9 @@
 The subsystem splits cleanly into entities, events and state:
 
 * **entities** — frozen descriptions: :mod:`~repro.netsim.nodes` (queue,
-  priority, mux, sink), :mod:`~repro.netsim.sources` (adapters turning
-  every ``repro.traffic`` generator into piecewise-constant rates) and
+  priority, mux, sink), :mod:`~repro.netsim.sources` (two adapters turning
+  every ``repro.traffic`` generator into piecewise-constant rates: a lazy
+  renewal stream and a known path) and
   :mod:`~repro.netsim.topology` (nodes + links + routed flows, validated
   and topologically ordered at construction);
 * **events** — :mod:`~repro.netsim.events`, a binary-heap loop of plain
@@ -32,7 +33,7 @@ from repro.netsim.presets import (
     tandem_topology,
 )
 from repro.netsim.simulate import FlowStats, NetSimResult, NodeStats, simulate
-from repro.netsim.sources import RateSource, RenewalSource, SegmentSource, TraceSource
+from repro.netsim.sources import RateSource, RenewalSource, SegmentSource
 from repro.netsim.topology import Flow, Topology
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "RenewalSource",
     "SegmentSource",
     "SinkNode",
-    "TraceSource",
     "Topology",
     "multiplexer_preset",
     "multiplexer_topology",

@@ -34,21 +34,16 @@ __all__ = [
 ]
 
 
-def _onoff_renewal(
-    hurst: float,
-    peak: float,
-    on_probability: float,
-    mean_interval: float,
-    cutoff: float,
-) -> RenewalSource:
-    """The paper's two-state on/off cutoff fluid source as a flow driver."""
-    marginal = DiscreteMarginal.two_state(low=0.0, high=peak, prob_high=on_probability)
+def _onoff_renewal(hurst: float) -> RenewalSource:
+    """The paper's two-state on/off cutoff fluid source as a flow driver:
+    peak rate 2, on half the time, mean interval 0.05 s, cutoff 2 s."""
+    marginal = DiscreteMarginal.two_state(low=0.0, high=2.0, prob_high=0.5)
     return RenewalSource(
         CutoffFluidSource.from_hurst(
             marginal=marginal,
             hurst=hurst,
-            mean_interval=mean_interval,
-            cutoff=cutoff,
+            mean_interval=0.05,
+            cutoff=2.0,
         )
     )
 
@@ -58,10 +53,6 @@ def tandem_topology(
     normalized_buffer: float,
     hops: int = 2,
     hurst: float = 0.8,
-    peak: float = 2.0,
-    on_probability: float = 0.5,
-    mean_interval: float = 0.05,
-    cutoff: float = 2.0,
 ) -> Topology:
     """A chain of ``hops`` identical queues fed by one on/off renewal flow.
 
@@ -71,7 +62,7 @@ def tandem_topology(
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    source = _onoff_renewal(hurst, peak, on_probability, mean_interval, cutoff)
+    source = _onoff_renewal(hurst)
     service_rate = source.mean_rate / utilization
     buffer_size = normalized_buffer * service_rate
     names = [f"hop{i}" for i in range(1, hops + 1)]
@@ -93,10 +84,6 @@ def multiplexer_topology(
     normalized_buffer: float,
     sources: int = 8,
     hurst: float = 0.8,
-    peak: float = 2.0,
-    on_probability: float = 0.5,
-    mean_interval: float = 0.05,
-    cutoff: float = 2.0,
 ) -> Topology:
     """``sources`` independent on/off flows fanned into one shared queue.
 
@@ -106,7 +93,7 @@ def multiplexer_topology(
     """
     if sources < 1:
         raise ValueError(f"sources must be >= 1, got {sources}")
-    source = _onoff_renewal(hurst, peak, on_probability, mean_interval, cutoff)
+    source = _onoff_renewal(hurst)
     service_rate = sources * source.mean_rate / utilization
     buffer_size = normalized_buffer * service_rate
     nodes = (

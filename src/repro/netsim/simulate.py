@@ -8,13 +8,13 @@ quantity evolves linearly — fluid rates are piecewise constant, so the
 only instants anything changes are source rate switches and buffer
 boundary hits, which is exactly the event set.
 
-Only stateful nodes (queue and priority) are on the event path.  A
-flow's rate change goes straight to its first stateful hop, and a
-changed output straight to the flow's next one.  A mux or sink is
-lossless and bufferless, so its stats are derived after the run from
-its neighbours' per-flow integrals.  A rate change entering through a
-mux reaches the queue behind it only when the flow's rate actually
-changes, exactly as if the mux had been walked.
+Only stateful nodes (queue and priority) get runtimes, and only they
+are on the event path.  A flow's rate change goes straight to its first
+stateful hop, and a changed output straight to the flow's next one.  A
+mux or sink is lossless and bufferless, so its stats are derived after
+the run from its neighbours' per-flow integrals.  A rate change
+entering through a mux reaches the queue behind it only when the flow's
+rate actually changes, exactly as if the mux had been walked.
 
 Semantics
 ---------
@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.core.validation import check_nonnegative, check_positive
 from repro.netsim.events import BOUNDARY, CONTROL, RATE_CHANGE, EventLoop
-from repro.netsim.nodes import MuxNode, PriorityNode, QueueNode, SinkNode
+from repro.netsim.nodes import Node, PriorityNode, QueueNode
 from repro.netsim.topology import Topology
 
 __all__ = ["FlowStats", "NetSimResult", "NodeStats", "simulate"]
@@ -347,11 +347,13 @@ _Scheduler = Callable[[int, int, int, float, float, str], None]
 
 
 class _NodeRuntime:
-    """Compiled state of a stateful node: the only runtimes events touch.
+    """Fields shared by the queue and priority runtimes, the only runtimes.
 
     ``downstream`` maps each flow through the node to the flow's next
     stateful hop, past any mux; ``dirty`` marks a runtime advanced to the
-    current event's time and waiting for its recompute.
+    current event's time and waiting for its recompute.  ``recompute``
+    returns the changed ``(flow, out_rate)`` pairs of the flows that have
+    a next stateful hop.
     """
 
     __slots__ = ("name", "kind", "index", "dirty", "downstream")
@@ -361,35 +363,7 @@ class _NodeRuntime:
         self.kind = kind
         self.index = index
         self.dirty = False
-        self.downstream: dict[int, _NodeRuntime] = {}
-
-    def advance(self, t: float) -> None:
-        raise NotImplementedError
-
-    def set_in(self, fid: int, rate: float) -> None:
-        buf, slot = self.slot_of(fid)
-        buf.in_rate[slot] = rate
-
-    def recompute(self, t: float, schedule: _Scheduler) -> Sequence[tuple[int, float]]:
-        """Re-derive regimes at ``t``; returns the changed ``(flow, out_rate)``
-        pairs of the flows that have a next stateful hop."""
-        raise NotImplementedError
-
-    def buffer_epoch(self, subqueue: int) -> int:
-        raise NotImplementedError
-
-    def snap(self, subqueue: int, target: float) -> None:
-        raise NotImplementedError
-
-    def reset_stats(self) -> None:
-        raise NotImplementedError
-
-    def slot_of(self, fid: int) -> tuple[_FluidBuffer, int]:
-        """The buffer carrying flow ``fid`` and the flow's slot in it."""
-        raise NotImplementedError
-
-    def node_stats(self, measured: float) -> NodeStats:
-        raise NotImplementedError
+        self.downstream: dict[int, _Stateful] = {}
 
 
 class _QueueRuntime(_NodeRuntime):
@@ -404,6 +378,10 @@ class _QueueRuntime(_NodeRuntime):
 
     def advance(self, t: float) -> None:
         self.buffer.advance(t)
+
+    def set_in(self, fid: int, rate: float) -> None:
+        buf = self.buffer
+        buf.in_rate[buf.slot[fid]] = rate
 
     def recompute(self, t: float, schedule: _Scheduler) -> Sequence[tuple[int, float]]:
         buf = self.buffer
@@ -470,6 +448,10 @@ class _PriorityRuntime(_NodeRuntime):
         for buf in self.classes:
             buf.advance(t)
 
+    def set_in(self, fid: int, rate: float) -> None:
+        buf, slot = self.slot_of(fid)
+        buf.in_rate[slot] = rate
+
     def recompute(self, t: float, schedule: _Scheduler) -> Sequence[tuple[int, float]]:
         changed: list[tuple[int, float]] = []
         available = self.service_rate
@@ -519,38 +501,25 @@ class _PriorityRuntime(_NodeRuntime):
         )
 
 
-class _StatelessRuntime:
-    """A mux or sink: no runtime on the event path, lossless and bufferless.
-
-    Its per-flow work is filled in after the run from its neighbours'
-    integrals: the served work of the flow's previous stateful hop, or
-    the flow's offered work when no stateful hop comes before it.
-    """
-
-    __slots__ = ("name", "kind", "arrived")
-
-    def __init__(self, node: MuxNode | SinkNode, flow_ids: list[int]) -> None:
-        self.name = node.name
-        self.kind = node.kind
-        self.arrived = {fid: 0.0 for fid in flow_ids}
-
-    def node_stats(self, measured: float) -> NodeStats:
-        arrived = sum(self.arrived.values())
-        return NodeStats(
-            name=self.name,
-            kind=self.kind,
-            arrived_work=arrived,
-            served_work=arrived,
-            lost_work=0.0,
-            loss_rate=0.0,
-            mean_occupancy=0.0,
-            mean_delay=0.0,
-            full_fraction=0.0,
-            empty_fraction=0.0,
-        )
+_Stateful = Union[_QueueRuntime, _PriorityRuntime]
 
 
-_Runtime = Union[_NodeRuntime, _StatelessRuntime]
+def _lossless_stats(node: Node, work: list[float]) -> NodeStats:
+    """Stats of a mux or sink: lossless and bufferless, it serves what
+    arrives, ``work`` being each of its flows' share in flow order."""
+    arrived = sum(work)
+    return NodeStats(
+        name=node.name,
+        kind=node.kind,
+        arrived_work=arrived,
+        served_work=arrived,
+        lost_work=0.0,
+        loss_rate=0.0,
+        mean_occupancy=0.0,
+        mean_delay=0.0,
+        full_fraction=0.0,
+        empty_fraction=0.0,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -560,9 +529,10 @@ _Runtime = Union[_NodeRuntime, _StatelessRuntime]
 
 def _compile(
     topology: Topology,
-) -> tuple[list[_Runtime], list[_NodeRuntime], list[list[_NodeRuntime]]]:
-    """Runtimes in declaration order, the stateful ones in topological
-    order, and each flow's stateful hops (``downstream`` wired along them)."""
+) -> tuple[dict[str, _Stateful], list[_Stateful], list[list[_Stateful]]]:
+    """Queue and priority runtimes by name in declaration order, the same
+    in topological order, and each flow's stateful hops (``downstream``
+    wired along them).  Mux and sink nodes get no runtime."""
     visiting: dict[str, list[int]] = {node.name: [] for node in topology.nodes}
     priorities: dict[str, dict[int, list[int]]] = {
         node.name: {} for node in topology.nodes
@@ -571,20 +541,16 @@ def _compile(
         for hop in flow.route:
             visiting[hop].append(fid)
             priorities[hop].setdefault(flow.priority, []).append(fid)
-    runtimes: list[_Runtime] = []
+    by_name: dict[str, _Stateful] = {}
     for index, node in enumerate(topology.nodes):
-        fids = visiting[node.name]
         if isinstance(node, QueueNode):
-            runtimes.append(_QueueRuntime(node, index, fids))
+            by_name[node.name] = _QueueRuntime(node, index, visiting[node.name])
         elif isinstance(node, PriorityNode):
             classes = priorities[node.name] or {0: []}
-            runtimes.append(_PriorityRuntime(node, index, classes))
-        else:
-            runtimes.append(_StatelessRuntime(node, fids))
-    by_name = {runtime.name: runtime for runtime in runtimes}
+            by_name[node.name] = _PriorityRuntime(node, index, classes)
 
-    def stateful(names: tuple[str, ...]) -> list[_NodeRuntime]:
-        return [rt for name in names if isinstance(rt := by_name[name], _NodeRuntime)]
+    def stateful(names: tuple[str, ...]) -> list[_Stateful]:
+        return [by_name[name] for name in names if name in by_name]
 
     routes = [stateful(flow.route) for flow in topology.flows]
     for fid, hops in enumerate(routes):
@@ -592,7 +558,7 @@ def _compile(
             here.downstream[fid] = after
             buf, slot = here.slot_of(fid)
             buf.handoff.append((slot, fid))
-    return runtimes, stateful(topology.order), routes
+    return by_name, stateful(topology.order), routes
 
 
 def simulate(
@@ -624,15 +590,14 @@ def simulate(
     """
     duration = check_positive("duration", duration)
     warmup = check_nonnegative("warmup", warmup)
-    runtimes, order, routes = _compile(topology)
-    by_name = {runtime.name: runtime for runtime in runtimes}
+    by_name, order, routes = _compile(topology)
     by_index = {runtime.index: runtime for runtime in order}
     flows = topology.flows
     first_hop = [hops[0] if hops else None for hops in routes]
     # A mux forwards a rate only when it changes, so a flow entering
     # through one reaches its first stateful hop on a change only; one
     # entering a queue directly marks it on every rate event.
-    gated = [not isinstance(by_name[flow.route[0]], _NodeRuntime) for flow in flows]
+    gated = [flow.route[0] not in by_name for flow in flows]
     entry_rate = [0.0] * len(flows)
     # Flows with no stateful hop keep their offered work here, settled
     # lazily at their own rate changes and at control events.
@@ -746,6 +711,10 @@ def simulate(
     wall = time.perf_counter() - started
     measured = end_time - measure_start
 
+    # What each flow brings to each mux or sink on its route.
+    lossless_work: dict[str, list[float]] = {
+        node.name: [] for node in topology.nodes if node.name not in by_name
+    }
     flow_stats: dict[str, FlowStats] = {}
     for fid, flow in enumerate(flows):
         slots = [hop.slot_of(fid) for hop in routes[fid]]
@@ -757,12 +726,11 @@ def simulate(
         # Walk the route: a stateless hop carries what its upstream served.
         carried = offered
         for name in flow.route:
-            node = by_name[name]
-            if isinstance(node, _NodeRuntime):
-                buf, slot = node.slot_of(fid)
+            if name in by_name:
+                buf, slot = by_name[name].slot_of(fid)
                 carried = buf.served[slot]
             else:
-                node.arrived[fid] = carried
+                lossless_work[name].append(carried)
         lost = sum(buf.lost[slot] for buf, slot in slots)
         backlog_integral = sum(buf.backlog_integral[slot] for buf, slot in slots)
         flow_stats[flow.name] = FlowStats(
@@ -774,7 +742,11 @@ def simulate(
             mean_delay=backlog_integral / carried if carried > 0.0 else 0.0,
         )
     node_stats = {
-        runtime.name: runtime.node_stats(measured) for runtime in runtimes
+        node.name: (
+            by_name[node.name].node_stats(measured) if node.name in by_name
+            else _lossless_stats(node, lossless_work[node.name])
+        )
+        for node in topology.nodes
     }
 
     return NetSimResult(

@@ -9,21 +9,22 @@ renewal source, a binned fGn/FARIMA path, an on/off aggregate, M/G/∞
 session counts, the synthetic MTV and Bellcore traces — plugs in
 through one interface.
 
-Three adapters cover the repo's generator families:
+Two adapters cover the repo's generator families:
 
-* :class:`RenewalSource` — the paper's cutoff fluid source itself: i.i.d.
-  ``(T_n, lambda_n)`` renewal epochs sampled lazily in chunks; a one-node
-  topology fed by it is *exactly* the queue of Eq. 9.
-* :class:`TraceSource` — any pre-binned rate array, such as the output
-  of a ``repro.traffic`` generator, wrapped by
-  :meth:`TraceSource.from_array` (negative rates, which Gaussian families
-  produce, are clipped at zero — the same convention the shuffle
-  experiments use).  The matched-models oracle feeds its family traces
-  through it.  A trace is finite: once exhausted, the last rate holds.
-* :class:`SegmentSource` — explicit ``(durations, rates)`` arrays, the
-  adapter that feeds a *known* path through the network: the
-  netsim-vs-solver oracle replays one sampled renewal path through it
-  and through Eq. 9, and the tests feed hand-built paths.
+* :class:`RenewalSource` — any renewal model
+  (:class:`~repro.core.source.RenewalModel`): the paper's cutoff fluid
+  source or Clegg's Markov-modulated one, its i.i.d. ``(T_n, lambda_n)``
+  pairs sampled lazily, 1024 at a time.  A one-node topology fed by the
+  paper's source is *exactly* the queue of Eq. 9.
+* :class:`SegmentSource` — a *known* path of explicit ``(durations,
+  rates)``: the netsim-vs-solver oracle replays one sampled renewal path
+  through it and through Eq. 9, and the tests feed hand-built paths.
+  :meth:`SegmentSource.from_array` wraps a pre-binned rate array, such
+  as the output of a ``repro.traffic`` generator, as segments one bin
+  wide (negative rates, which Gaussian families produce, are clipped at
+  zero — the same convention the shuffle experiments use); the
+  matched-models oracle feeds its family traces through it.  A path is
+  finite: once exhausted, its last rate holds.
 """
 
 from __future__ import annotations
@@ -33,15 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.source import CutoffFluidSource
+from repro.core.source import RenewalModel
 from repro.core.validation import check_positive
 
 __all__ = [
     "RateSource",
     "RenewalSource",
     "SegmentSource",
-    "TraceSource",
 ]
+
+_CHUNK = 1024
+"""Pairs a :class:`RenewalSource` draws per ``sample_path`` call."""
 
 
 class RateSource:
@@ -60,7 +63,13 @@ class RateSource:
 
 @dataclass(frozen=True)
 class SegmentSource(RateSource):
-    """An explicit, finite ``(durations, rates)`` path (netsim oracle and tests)."""
+    """An explicit, finite ``(durations, rates)`` path.
+
+    The path is fixed before the source is built, so a
+    :class:`SegmentSource` is a *value*: simulating the same topology
+    twice replays the identical rate path regardless of the simulator
+    seed (the flow's private stream is simply unused).
+    """
 
     durations: tuple[float, ...]
     rates: tuple[float, ...]
@@ -68,9 +77,9 @@ class SegmentSource(RateSource):
     def __post_init__(self) -> None:
         if len(self.durations) != len(self.rates) or not self.durations:
             raise ValueError("durations and rates must be equal-length and non-empty")
-        if any(d <= 0.0 for d in self.durations):
+        if min(self.durations) <= 0.0:
             raise ValueError("segment durations must be positive")
-        if any(r < 0.0 for r in self.rates):
+        if min(self.rates) < 0.0:
             raise ValueError("segment rates must be non-negative")
 
     @property
@@ -86,22 +95,24 @@ class SegmentSource(RateSource):
     def segments(self, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
         return iter(zip(self.durations, self.rates))
 
+    @classmethod
+    def from_array(cls, rates: np.ndarray, bin_width: float) -> "SegmentSource":
+        """A binned rate array as one segment per bin (rates clipped at zero)."""
+        bin_width = check_positive("bin_width", bin_width)
+        clipped = np.clip(np.asarray(rates, dtype=np.float64), 0.0, None)
+        return cls(durations=(bin_width,) * clipped.size, rates=tuple(clipped.tolist()))
+
 
 @dataclass(frozen=True)
 class RenewalSource(RateSource):
-    """The paper's modulated fluid renewal process, sampled lazily.
+    """A renewal model's i.i.d. ``(duration, rate)`` pairs, sampled lazily.
 
-    Each chunk draws ``chunk`` i.i.d. ``(T_n, lambda_n)`` pairs from the
-    wrapped :class:`~repro.core.source.CutoffFluidSource`; the stream is
-    infinite, so a flow driven by it never runs dry before the horizon.
+    Each ``sample_path`` call draws 1024 pairs from the wrapped model;
+    the stream is infinite, so a flow driven by it never runs dry before
+    the horizon.
     """
 
-    source: CutoffFluidSource
-    chunk: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+    source: RenewalModel
 
     @property
     def mean_rate(self) -> float:  # type: ignore[override]
@@ -109,44 +120,6 @@ class RenewalSource(RateSource):
 
     def segments(self, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
         while True:
-            path = self.source.sample_path(self.chunk, rng)
+            path = self.source.sample_path(_CHUNK, rng)
             yield from zip(path.durations.tolist(), path.rates.tolist())
 
-
-@dataclass(frozen=True)
-class TraceSource(RateSource):
-    """A binned rate trace as a finite piecewise-constant source.
-
-    The trace is generated before the source is built, so a
-    :class:`TraceSource` is a *value*: simulating the same topology twice
-    replays the identical rate path regardless of the simulator seed (the
-    flow's private stream is simply unused).
-    """
-
-    rates: tuple[float, ...]
-    bin_width: float
-
-    def __post_init__(self) -> None:
-        if not self.rates:
-            raise ValueError("rates must be non-empty")
-        if any(r < 0.0 for r in self.rates):
-            raise ValueError("rates must be non-negative")
-        check_positive("bin_width", self.bin_width)
-
-    @property
-    def mean_rate(self) -> float:  # type: ignore[override]
-        return float(sum(self.rates) / len(self.rates))
-
-    @property
-    def total_time(self) -> float:
-        """Time span covered before the last rate starts holding."""
-        return self.bin_width * len(self.rates)
-
-    def segments(self, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
-        return ((self.bin_width, rate) for rate in self.rates)
-
-    @classmethod
-    def from_array(cls, rates: np.ndarray, bin_width: float) -> "TraceSource":
-        """Wrap a raw binned rate array (clipped at zero)."""
-        clipped = np.clip(np.asarray(rates, dtype=np.float64), 0.0, None)
-        return cls(rates=tuple(clipped.tolist()), bin_width=float(bin_width))

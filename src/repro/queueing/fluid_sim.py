@@ -1,19 +1,25 @@
 """Finite-buffer fluid-queue simulators.
 
-Two simulators, both exact for their input class:
+Two simulators, both exact for their input class.  Both run one clipped
+walk, ``Q <- min(B, max(0, Q + w))``, counting the overflow above ``B``
+as lost work:
 
 * :func:`simulate_trace_queue` / :func:`simulate_trace_queue_multi` —
   discrete-time fluid queue driven by a binned rate trace (the paper's
   shuffle experiments, Figs. 7/8/14): per bin of length ``dt`` the queue
-  gains ``rate * dt``, drains ``c * dt``, clips at 0 and B, and the
-  overflow is counted as lost work.  The multi-buffer variant advances a
-  whole vector of buffer sizes through one pass over the trace.
+  gains ``rate * dt`` and drains ``c * dt``.  The multi-buffer variant
+  walks the trace once per buffer size, so its entry ``i`` equals
+  :func:`simulate_trace_queue`'s loss rate at buffer ``i`` exactly.
 
 * :func:`simulate_source_queue` — event-driven Monte Carlo of the paper's
   *model* queue: i.i.d. ``(T_n, lambda_n)`` pairs drive the recursion
-  ``Q(n+1) = max(0, min(B, Q(n) + W(n)))`` (Eq. 9) and lost work is
-  accumulated per interval.  This is the ground truth the bounded
-  convolution solver is validated against in the integration tests.
+  ``Q(n+1) = max(0, min(B, Q(n) + W(n)))`` (Eq. 9).  This is the ground
+  truth the bounded convolution solver is validated against in the
+  integration tests.
+
+:func:`inter_reset_times` keeps a walk of its own: it counts a reset on
+reaching either boundary, ``Q >= B`` included, where the walk counts
+overflow only at ``Q > B``.
 """
 
 from __future__ import annotations
@@ -125,12 +131,11 @@ def simulate_trace_queue_multi(
     buffer_sizes: np.ndarray,
     initial_occupancy: float = 0.0,
 ) -> np.ndarray:
-    """Loss rates for a whole vector of buffer sizes in one trace pass.
+    """Loss rates for a whole vector of buffer sizes over one trace.
 
-    The queue state is a vector indexed like ``buffer_sizes``; each time
-    step applies the same clipped-random-walk update elementwise, so the
-    cost is one pass over the trace regardless of how many buffer sizes
-    are evaluated.
+    Entry ``i`` is :func:`simulate_trace_queue`'s loss rate at
+    ``buffer_sizes[i]``, bit for bit: each buffer runs the same clipped
+    walk over increments computed once.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 1 or rates.size == 0:
@@ -142,23 +147,18 @@ def simulate_trace_queue_multi(
         raise ValueError("buffer_sizes must be non-negative")
     bin_width = check_positive("bin_width", bin_width)
     service_rate = check_positive("service_rate", service_rate)
-    occupancy = np.full(buffers.shape, float(initial_occupancy))
-    if np.any(occupancy > buffers):
-        raise ValueError("initial_occupancy exceeds some buffer size")
+    if not 0.0 <= initial_occupancy <= buffers.min():
+        raise ValueError("initial_occupancy must lie in [0, min(buffer_sizes)]")
 
     increments = (rates - service_rate) * bin_width
-    lost = np.zeros_like(buffers)
-    for increment in increments:
-        occupancy += increment
-        overflow = occupancy - buffers
-        np.clip(overflow, 0.0, None, out=overflow)
-        lost += overflow
-        occupancy -= overflow
-        np.clip(occupancy, 0.0, None, out=occupancy)
     arrived = float(rates.sum() * bin_width)
     if arrived <= 0.0:
         return np.zeros_like(buffers)
-    return lost / arrived
+    lost = [
+        _clipped_walk(increments, buffer_size, initial_occupancy)[1]
+        for buffer_size in buffers.tolist()
+    ]
+    return np.asarray(lost, dtype=np.float64) / arrived
 
 
 def inter_reset_times(
@@ -242,17 +242,15 @@ def simulate_source_queue(
     service_rate = check_positive("service_rate", service_rate)
     buffer_size = check_nonnegative("buffer_size", buffer_size)
 
-    total = warmup_intervals + intervals
-    durations = source.interarrival.sample(total, rng)
-    rates = source.marginal.sample(total, rng)
-    increments = durations * (rates - service_rate)
+    path = source.sample_path(warmup_intervals + intervals, rng)
+    increments = path.durations * (path.rates - service_rate)
 
     occupancy = _clipped_walk(increments[:warmup_intervals], buffer_size, 0.0)[0]
     _, lost, occupancy_sum, full_count, empty_count = _clipped_walk(
         increments[warmup_intervals:], buffer_size, occupancy
     )
     arrived = float(
-        (durations[warmup_intervals:] * rates[warmup_intervals:]).sum()
+        (path.durations[warmup_intervals:] * path.rates[warmup_intervals:]).sum()
     )
     return TraceQueueResult(
         loss_rate=lost / arrived if arrived > 0.0 else 0.0,

@@ -42,6 +42,7 @@ from repro.serve.service import (
     ServiceDrainingError,
     ServiceOverloadedError,
     ServiceRejection,
+    WorkerLostError,
 )
 from repro.serve.singleflight import Singleflight
 from repro.serve.stats import LatencyTracker
@@ -64,6 +65,7 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceDrainingError",
     "QueryTimeoutError",
+    "WorkerLostError",
     "ServeServer",
     "make_server",
     "ServeClient",

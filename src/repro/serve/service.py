@@ -29,7 +29,9 @@ and the tests always used.  One request flows through five stations:
    results populate the memory LRU on the way out.
 5. **Reply.**  Every waiter observes the shared result (or the shared
    error), bounded by its per-request timeout
-   (:class:`QueryTimeoutError` → 504).
+   (:class:`QueryTimeoutError` → 504).  A batch that meets a dead pool
+   worker fails its waiters with :class:`WorkerLostError` (503 with
+   Retry-After); the backend starts a fresh pool for the next batch.
 
 ``horizon`` requests are closed-form and answered inline on the loop;
 ``dimension`` requests (a bisection of solves) run on a small auxiliary
@@ -51,7 +53,7 @@ import asyncio
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -72,6 +74,7 @@ __all__ = [
     "ServiceDrainingError",
     "ServiceOverloadedError",
     "ServiceRejection",
+    "WorkerLostError",
 ]
 
 _T = TypeVar("_T")
@@ -108,6 +111,17 @@ class QueryTimeoutError(ServiceRejection):
 
     status = 504
     retry_after_s = None
+
+
+class WorkerLostError(ServiceRejection):
+    """A solver worker died under this request's batch (HTTP 503).
+
+    The pool backend drops a broken pool and starts a fresh one on the
+    next batch, so a retry is solved.
+    """
+
+    status = 503
+    retry_after_s = 1.0
 
 
 @dataclass
@@ -172,6 +186,7 @@ class AsyncQueryService:
         self.accepted = 0
         self.completed = 0
         self.timeouts = 0
+        self.worker_losses = 0
         self.errors = 0
 
     async def start(self) -> None:
@@ -208,6 +223,9 @@ class AsyncQueryService:
                 "elapsed_s": elapsed,
                 **payload,
             }
+        except WorkerLostError:
+            self.worker_losses += 1
+            raise
         except ServiceRejection:
             raise
         except Exception:
@@ -311,6 +329,8 @@ class AsyncQueryService:
                 self._engine_executor, self.engine.run_tasks, tasks
             )
         except Exception as error:
+            if isinstance(error, BrokenExecutor):
+                error = WorkerLostError(f"a solver worker died: {error}")
             for item in batch:
                 self.singleflight.fail(item.key, error)
             return
@@ -572,6 +592,7 @@ class QueryService:
             "completed": core.completed,
             "inflight": core.inflight_count,
             "timeouts": core.timeouts,
+            "worker_losses": core.worker_losses,
             "errors": core.errors,
             "draining": core.draining,
             "uptime_s": time.monotonic() - core.started_at,

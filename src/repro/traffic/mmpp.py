@@ -18,11 +18,14 @@ The rate autocorrelation is then the mixture's stationary residual-life
 ccdf — a sum of exponentials approximating ``((t + theta)/theta)^{1-alpha}``
 with ``alpha = 3 - 2H`` — while the rate marginal is matched *exactly*.
 
-The family speaks the same seeded generator protocol as ``fgn``/``onoff``/
-``mginf`` (:func:`mmpp_rates` produces a binned trace from an explicit
-``numpy.random.Generator``) and plugs into :mod:`repro.netsim` both as a
-lazy segment stream (:meth:`MarkovModulatedSource.segments`) and as a
-pre-binned ``TraceSource`` (``TraceSource.from_array(mmpp_rates(...), bin_width)``).
+A sojourn is i.i.d. like the paper's renewal interval, so the source is a
+:class:`~repro.core.source.RenewalModel` and shares the paper source's
+samplers: :func:`mmpp_rates` (the same seeded generator protocol as
+``fgn``/``onoff``/``mginf``: explicit ``numpy.random.Generator`` in,
+binned trace out) runs :func:`~repro.core.source.binned_rate_trace`, and
+:mod:`repro.netsim` streams it lazily as ``RenewalSource(model)`` or
+replays a binned trace as ``SegmentSource.from_array(mmpp_rates(...),
+bin_width)``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.marginal import DiscreteMarginal
-from repro.core.source import CutoffFluidSource, SourcePath
+from repro.core.source import CutoffFluidSource, SourcePath, binned_rate_trace
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.validation import check_in_open_interval, check_positive
 
@@ -238,25 +241,7 @@ class MarkovModulatedSource:
         self, duration: float, bin_width: float, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample a binned rate trace covering at least ``duration`` seconds."""
-        duration = check_positive("duration", duration)
-        bin_width = check_positive("bin_width", bin_width)
-        mean_interval = self.mean_interval
-        batches: list[SourcePath] = []
-        covered = 0.0
-        while covered < duration:
-            remaining = duration - covered
-            n = max(64, int(1.2 * remaining / mean_interval) + 1)
-            path = self.sample_path(n, rng)
-            batches.append(path)
-            covered += path.total_time
-        trace = SourcePath.joined(batches).to_binned_rates(bin_width)
-        return trace[: int(duration / bin_width)]
-
-    def segments(self, rng: np.random.Generator):
-        """Lazy ``(duration, rate)`` stream: the netsim ``RateSource`` protocol."""
-        while True:
-            path = self.sample_path(1024, rng)
-            yield from zip(path.durations.tolist(), path.rates.tolist())
+        return binned_rate_trace(self, duration, bin_width, rng)
 
 
 def mmpp_rates(

@@ -341,7 +341,7 @@ class MatchedModelsOracle:
 
     def _simulate_family(self, scenario: Scenario, ctx: CheckContext) -> tuple[float, float]:
         """Batch-mean loss and 99 % half-width of the scenario family's queue."""
-        from repro.netsim import TraceSource
+        from repro.netsim import SegmentSource
 
         mean_epoch = scenario.source.mean_interval
         duration = self.horizon_epochs * mean_epoch
@@ -354,7 +354,7 @@ class MatchedModelsOracle:
                 scenario, duration, bin_width, np.random.default_rng(int(seed))
             )
             topology = netsim_single_queue(
-                scenario, TraceSource.from_array(rates, bin_width)
+                scenario, SegmentSource.from_array(rates, bin_width)
             )
             sim = ctx.simulate_network(
                 topology, duration=duration, warmup=warmup, seed=int(seed)

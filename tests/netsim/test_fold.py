@@ -6,17 +6,13 @@ integrals.  Per-flow shares are frozen between recomputes, so the
 compiled path must recompute exactly when a walk through every node
 would: a rate change entering through a mux that does not change the
 flow's rate marks nothing, while one entering a queue directly always
-marks it.  These pins hold each topology shape that path handles to
-values recorded by a walk through every node: the event-trace digest and
-event counts exactly, and every ``NodeStats``/``FlowStats`` float at
-rel 1e-12 (mux and sink integrals are summed over different intervals,
-so their last bits may move).
-
-The 16-source multiplexer and the 4-hop tandem, the two preset shapes,
-are pinned at the compiled path's own values and held exactly, save
-the floats a builtin ``sum()`` adds over several terms: mux and sink
-stats and a multi-hop flow's loss and delay stay at rel 1e-12, because
-Python 3.12 compensates ``sum()`` and 3.11 does not.
+marks it.  These pins hold each topology shape that path handles,
+including the 16-source multiplexer and the 4-hop tandem of the
+presets, to the compiled path's own values: the event-trace digest and
+event counts exactly, and every ``NodeStats``/``FlowStats`` float
+exactly save those a builtin ``sum()`` adds over several terms.  Mux,
+sink and priority stats and a multi-hop flow's loss and delay stay at
+rel 1e-12, because Python 3.12 compensates ``sum()`` and 3.11 does not.
 """
 
 from __future__ import annotations
@@ -158,8 +154,6 @@ NODE_FIELDS = ("arrived_work", "served_work", "lost_work", "loss_rate",
 FLOW_FIELDS = ("offered_work", "delivered_work", "lost_work", "loss_rate", "mean_delay")
 
 
-# Shapes held exactly; the others were recorded by a walk (see above).
-EXACT = frozenset({"mux16", "tandem4"})
 # Flow fields a multi-hop flow sums over its hops with builtin ``sum()``.
 SUMMED_FLOW_FIELDS = frozenset({"lost_work", "loss_rate", "mean_delay"})
 
@@ -187,10 +181,10 @@ PINS: dict = {
         "digest": "a7066c9ebf43c20e02c3d0846fc42339c39be1b1e60b34f2a52198f1e1852194",
         "events": (859, 267),
         "nodes": {
-            "q1": (41.26649114811023, 29.024121372952916, 12.342369775157302,
-                0.29908939267114093, 0.04938525142036718, 0.06806097698638823,
-                0.38569905547366573, 0.39533080473014726),
-            "mux": (56.849905716972074, 56.849905716972074, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            "q1": (41.26649114811023, 29.024121372952916, 12.342369775157302, 0.29908939267114093,
+                0.04938525142036718, 0.06806097698638823, 0.38569905547366573,
+                0.39533080473014726),
+            "mux": (56.849905716972046, 56.849905716972046, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             "q2": (56.84990571697207, 47.45341487392669, 9.396490843045358, 0.16528595297634968,
                 0.051241992004081624, 0.043193512745264256, 0.18371224059230945,
                 0.5014993915921091),
@@ -208,18 +202,18 @@ PINS: dict = {
         "events": (1128, 248),
         "nodes": {
             "mux": (124.71669492415145, 124.71669492415145, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            "p": (124.71669492415144, 79.04757280473875, 45.554305324101804,
-                0.36526228787418097, 0.10955563746910817, 0.055437824885391306,
-                0.3870936143142793, 0.36155795780165656),
+            "p": (124.71669492415144, 79.04757280473875, 45.554305324101804, 0.36526228787418097,
+                0.10955563746910817, 0.055437824885391306, 0.3870936143142793,
+                0.36155795780165656),
             "sink": (79.04757280473873, 79.04757280473873, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         },
         "flows": {
-            "gold": (42.71883545521657, 33.61402363995963, 7.1670675970155076,
-                0.16777300974248135, 0.028586244603904968),
-            "silver": (36.483026102671914, 31.153702723897794, 7.1670675970155076,
-                0.19644937283562153, 0.01671884449830187),
-            "bronze": (45.51483336626296, 14.279846440881306, 31.22017013007079,
-                0.6859339652820122, 0.20311653192433204),
+            "gold": (42.71883545521657, 33.61402363995965, 7.1670675970155076, 0.16777300974248135,
+                0.028586244603904954),
+            "silver": (36.483026102671914, 31.153702723897787, 7.1670675970155076,
+                0.19644937283562153, 0.016718844498301872),
+            "bronze": (45.51483336626296, 14.279846440881297, 31.22017013007079,
+                0.6859339652820122, 0.20311653192433216),
         },
     },
     "repeated_rates": {
@@ -229,11 +223,11 @@ PINS: dict = {
             "mux": (2.8500000000000005, 2.8500000000000005, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             "q": (4.375000000000002, 3.875, 0.2800000000000003, 0.06400000000000004,
                 0.3005745535714285, 0.19391906682027646, 0.0800000000000001, 0.03125),
-            "sink": (3.875000000000001, 3.875000000000001, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            "sink": (3.875, 3.875, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         },
         "flows": {
-            "via_mux": (2.8500000000000005, 2.3600607791398067, 0.18666666666666687,
-                0.06549707602339187, 0.20059440449832622),
+            "via_mux": (2.8500000000000005, 2.3600607791398063, 0.18666666666666687,
+                0.06549707602339187, 0.20059440449832627),
             "at_queue": (1.5250000000000004, 1.514939220860194, 0.09333333333333343,
                 0.06120218579234978, 0.18351983599665697),
         },
@@ -244,15 +238,14 @@ PINS: dict = {
         "nodes": {
             "mux": (79.95589244206766, 79.95589244206766, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             "q": (46.7322641646726, 29.61142714338365, 17.144496780124317, 0.3668663842118044,
-                0.05757154215682515, 0.07776935826571788, 0.47623602167012,
-                0.32701301946855377),
-            "sink": (111.5942290666549, 111.5942290666549, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                0.05757154215682515, 0.07776935826571788, 0.47623602167012, 0.32701301946855377),
+            "sink": (111.59422906665492, 111.59422906665492, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         },
         "flows": {
-            "direct": (48.7591736458762, 48.7591736458762, 0.0, 0.0, 0.0),
-            "muxed": (33.22362827739507, 33.22362827739507, 0.0, 0.0, 0.0),
-            "queued": (46.73226416467259, 29.611427143383633, 17.144496780124317,
-                0.36686638421180445, 0.07776935826571793),
+            "direct": (48.7591736458762, 48.7591736458762, 0, 0.0, 0.0),
+            "muxed": (33.22362827739507, 33.22362827739507, 0, 0.0, 0.0),
+            "queued": (46.7322641646726, 29.61142714338365, 17.144496780124317, 0.3668663842118044,
+                0.07776935826571788),
         },
     },
     "mux16": {
@@ -326,10 +319,8 @@ def test_event_schedule_is_pinned(name):
     assert got["events"] == pin["events"]
 
 
-def tolerance(name: str, topology: Topology, table: str, key: str, field: str) -> float:
+def tolerance(topology: Topology, table: str, key: str, field: str) -> float:
     """Relative tolerance of one pinned float: 0.0 where it is held exactly."""
-    if name not in EXACT:
-        return _REL
     kinds = {node.name: node.kind for node in topology.nodes}
     if table == "nodes":
         return 0.0 if kinds[key] == "queue" else _REL
@@ -346,5 +337,5 @@ def test_stats_are_pinned(name):
         assert list(got[table]) == list(pin[table])
         for key, values in pin[table].items():
             for field, value, seen in zip(fields, values, got[table][key]):
-                rel = tolerance(name, topology, table, key, field)
+                rel = tolerance(topology, table, key, field)
                 assert seen == pytest.approx(value, rel=rel, abs=0.0), (key, field)

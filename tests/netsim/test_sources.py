@@ -1,11 +1,11 @@
-"""Source adapters: renewal, trace and explicit paths as piecewise-constant rates."""
+"""Source adapters: renewal streams and known paths as piecewise-constant rates."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.netsim.sources import RateSource, RenewalSource, SegmentSource, TraceSource
+from repro.netsim.sources import RateSource, RenewalSource, SegmentSource
 
 
 def test_segment_source_validates():
@@ -28,33 +28,33 @@ def test_segment_source_mean_rate_is_time_weighted():
 
 
 def test_renewal_source_streams_across_chunks(small_source):
-    adapter = RenewalSource(small_source, chunk=4)
+    adapter = RenewalSource(small_source)
     assert adapter.mean_rate == pytest.approx(small_source.mean_rate)
-    rng = np.random.default_rng(3)
-    stream = adapter.segments(rng)
-    segments = [next(stream) for _ in range(10)]  # > 2 chunks deep
+    stream = adapter.segments(np.random.default_rng(3))
+    segments = [next(stream) for _ in range(2500)]  # > 2 chunks of 1024 deep
     assert all(duration > 0.0 for duration, _ in segments)
     assert all(rate >= 0.0 for _, rate in segments)
     rates = {rate for _, rate in segments}
     assert rates <= set(np.asarray(small_source.marginal.rates).tolist())
+    # Each chunk is one ``sample_path`` call on the flow's stream.
+    rng = np.random.default_rng(3)
+    paths = [small_source.sample_path(1024, rng) for _ in range(3)]
+    durations = np.concatenate([path.durations for path in paths])[:2500]
+    assert [duration for duration, _ in segments] == durations.tolist()
 
 
-def test_renewal_source_rejects_bad_chunk(small_source):
+def test_segment_source_from_array_validates():
     with pytest.raises(ValueError):
-        RenewalSource(small_source, chunk=0)
-
-
-def test_trace_source_validates():
+        SegmentSource.from_array(np.array([]), bin_width=0.1)
     with pytest.raises(ValueError):
-        TraceSource(rates=(), bin_width=0.1)
+        SegmentSource.from_array(np.array([1.0]), bin_width=0.0)
     with pytest.raises(ValueError):
-        TraceSource(rates=(1.0,), bin_width=0.0)
-    with pytest.raises(ValueError):
-        TraceSource(rates=(-1.0,), bin_width=0.1)
+        SegmentSource.from_array(np.array([1.0]), bin_width=float("nan"))
 
 
-def test_trace_source_from_array_clips_negative_rates():
-    source = TraceSource.from_array(np.array([1.0, -2.0, 3.0]), bin_width=0.5)
+def test_segment_source_from_array_clips_negative_rates():
+    source = SegmentSource.from_array(np.array([1.0, -2.0, 3.0]), bin_width=0.5)
+    assert source.durations == (0.5, 0.5, 0.5)
     assert source.rates == (1.0, 0.0, 3.0)
     assert source.total_time == pytest.approx(1.5)
     rng = np.random.default_rng(0)

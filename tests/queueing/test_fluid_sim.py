@@ -61,12 +61,17 @@ class TestTraceQueue:
 
 class TestMultiBuffer:
     def test_matches_scalar_simulation(self, rng):
-        rates = rng.gamma(2.0, 1.0, 3000)
-        buffers = np.array([0.0, 0.5, 2.0, 8.0])
-        multi = simulate_trace_queue_multi(rates, 0.1, 2.2, buffers)
-        for i, b in enumerate(buffers):
-            scalar = simulate_trace_queue(rates, 0.1, 2.2, float(b))
-            assert multi[i] == pytest.approx(scalar.loss_rate, abs=1e-12)
+        # Seed 14 at buffer 0.05 has bins that add more than twice the
+        # buffer, where clipping as ``Q - (Q - B)`` can miss ``B`` by an ulp.
+        cases = [
+            (rng.gamma(2.0, 1.0, 3000), np.array([0.0, 0.5, 2.0, 8.0])),
+            (np.random.default_rng(14).gamma(2.0, 1.0, 3000), np.array([0.05])),
+        ]
+        for rates, buffers in cases:
+            multi = simulate_trace_queue_multi(rates, 0.1, 2.2, buffers)
+            for i, b in enumerate(buffers):
+                scalar = simulate_trace_queue(rates, 0.1, 2.2, float(b))
+                assert multi[i] == scalar.loss_rate, float(b)
 
     def test_loss_decreasing_in_buffer(self, rng):
         rates = rng.gamma(2.0, 1.0, 5000)
@@ -79,6 +84,13 @@ class TestMultiBuffer:
             simulate_trace_queue_multi(np.array([1.0]), 1.0, 1.0, np.array([]))
         with pytest.raises(ValueError, match="non-negative"):
             simulate_trace_queue_multi(np.array([1.0]), 1.0, 1.0, np.array([-1.0]))
+        # The same occupancies simulate_trace_queue rejects.
+        for occupancy in (-1.0, 2.0):
+            with pytest.raises(ValueError, match="initial_occupancy"):
+                simulate_trace_queue_multi(
+                    np.array([1.0]), 1.0, 1.0, np.array([1.0, 3.0]),
+                    initial_occupancy=occupancy,
+                )
 
 
 class TestSourceQueue:

@@ -8,13 +8,16 @@ piled up *while* a solve is provably in flight on the executor.
 
 from __future__ import annotations
 
+import asyncio
+import os
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.core.results import LossRateResult
-from repro.exec import SerialBackend, SolveCache, SweepEngine
+from repro.exec import ProcessPoolBackend, SerialBackend, SolveCache, SweepEngine
 from repro.exec.telemetry import SweepTelemetry
 from repro.serve.protocol import parse_request
 from repro.serve.service import (
@@ -22,6 +25,7 @@ from repro.serve.service import (
     QueryTimeoutError,
     ServiceDrainingError,
     ServiceOverloadedError,
+    WorkerLostError,
 )
 
 RESULT = LossRateResult(
@@ -353,3 +357,44 @@ class TestUnconvergedReplies:
         assert from_disk["tier"] == "engine"
         assert telemetry.cache_hits == 1 and telemetry.cache_misses == 0
         assert from_disk["result"] == result
+
+
+class TestDeadWorker:
+    """A batch that meets a dead pool worker answers 503; the next one is solved."""
+
+    @staticmethod
+    def _window(service: QueryService) -> list:
+        # Two requests in one window: different ``initial_bins`` make two
+        # batches, so the engine runs them on the pool.
+        requests = [
+            parse_request({"kind": "loss", "hurst": 0.7, "buffer": 0.3, "initial_bins": bins})
+            for bins in (32, 64)
+        ]
+
+        async def both():
+            return await asyncio.gather(
+                *(service.core.handle(request) for request in requests),
+                return_exceptions=True,
+            )
+
+        return asyncio.run_coroutine_threadsafe(both(), service.loop).result(60.0)
+
+    def test_batch_on_a_killed_worker_is_rejected_with_503(self):
+        backend = ProcessPoolBackend(jobs=2)
+        service = QueryService(
+            SweepEngine(backend=backend), batch_size=2, batch_delay_s=0.05
+        )
+        try:
+            pool = backend._pool  # warmed by the service
+            os.kill(pool.submit(os.getpid).result(), signal.SIGKILL)
+            _poll(lambda: pool._broken, timeout=30.0, message="the pool to see the death")
+            lost = self._window(service)
+            assert all(isinstance(outcome, WorkerLostError) for outcome in lost), lost
+            assert all(o.status == 503 and o.retry_after_s is not None for o in lost)
+            solved = self._window(service)
+            assert [outcome["tier"] for outcome in solved] == ["engine", "engine"]
+            stats = service.stats()
+            assert stats["worker_losses"] == 2 and stats["errors"] == 0
+            assert stats["singleflight"]["inflight"] == 0 and stats["inflight"] == 0
+        finally:
+            service.close()

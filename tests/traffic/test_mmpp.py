@@ -179,10 +179,12 @@ def test_rates_deterministic_under_spawn_keys(small_source):
 
 
 def test_segments_follow_sample_path(small_source):
-    # The lazy stream draws 1024-interval batches; its prefix must match
-    # an explicit sample_path of the same batch size and seed.
+    # netsim's renewal stream draws 1024-interval batches; its prefix must
+    # match an explicit sample_path of the same batch size and seed.
+    from repro.netsim import RenewalSource
+
     model = MarkovModulatedSource.from_source(small_source)
-    stream = model.segments(np.random.default_rng(3))
+    stream = RenewalSource(model).segments(np.random.default_rng(3))
     pairs = [next(stream) for _ in range(64)]
     path = model.sample_path(1024, np.random.default_rng(3))
     np.testing.assert_allclose([d for d, _ in pairs], path.durations[:64])

@@ -111,9 +111,9 @@ def test_unknown_family_is_an_error(lossy_scenario):
 
 
 def test_matched_queue_is_the_model_queue(lossy_scenario):
-    from repro.netsim import QueueNode, SinkNode, TraceSource
+    from repro.netsim import QueueNode, SegmentSource, SinkNode
 
-    source = TraceSource(rates=(1.0, 2.0), bin_width=0.5)
+    source = SegmentSource.from_array(np.array([1.0, 2.0]), bin_width=0.5)
     topo = netsim_single_queue(lossy_scenario, source)
     queue, sink = topo.nodes
     assert isinstance(queue, QueueNode) and isinstance(sink, SinkNode)
