@@ -5,8 +5,9 @@ The paper's resolution of the LRD-relevance debate: *any* model — Markovian
 included — works for finite-buffer loss prediction as long as it matches
 the correlation structure up to the correlation horizon.  We fit a
 Feldmann-Whitt hyperexponential to the truncated-Pareto interval law,
-expand it into a CTMC fluid source, solve that queue with the independent
-MMFQ spectral method, and compare against the bounded convolution solver
+take the renewal source with those intervals as a CTMC fluid source
+(``MarkovModulatedSource.fluid_model``), solve that queue with the
+independent MMFQ spectral method, and compare against the bounded convolution solver
 across buffer sizes.  A deliberately impoverished one-phase (exponential)
 fit shows how the equivalence fails when correlation is not captured.
 """
@@ -25,9 +26,9 @@ from repro.queueing.markov import (
     HyperexponentialFit,
     fit_hyperexponential,
     fit_multiscale_source,
-    renewal_markov_source,
 )
 from repro.queueing.mmfq import mmfq_loss_rate
+from repro.traffic import MarkovModulatedSource
 
 
 def test_ablation_markov_equivalence(benchmark):
@@ -38,12 +39,15 @@ def test_ablation_markov_equivalence(benchmark):
     buffers = np.array([0.1, 0.3, 1.0, 3.0])
 
     def run():
-        fit = fit_hyperexponential(law, phases=12)
-        rich_model = renewal_markov_source(marginal, fit)
+        rich_model = MarkovModulatedSource(
+            marginal=marginal, interarrival=fit_hyperexponential(law, phases=12)
+        ).fluid_model()
         poor_fit = HyperexponentialFit(
             weights=np.array([1.0]), exit_rates=np.array([1.0 / law.mean])
         )
-        poor_model = renewal_markov_source(marginal, poor_fit)
+        poor_model = MarkovModulatedSource(
+            marginal=marginal, interarrival=poor_fit
+        ).fluid_model()
         multiscale_model = fit_multiscale_source(source, scales=6)
         reference, markov, exponential, multiscale = [], [], [], []
         for buffer_size in buffers:

@@ -9,7 +9,8 @@ example builds that Markov comparator end to end:
 
 1. fit a Feldmann-Whitt hyperexponential to the truncated-Pareto interval
    law (a sum of exponentials tracking the power-law ccdf);
-2. expand the renewal fluid source into a CTMC on (rate level, phase);
+2. take the renewal fluid source with those intervals — the Markov-
+   modulated source — as a CTMC on (rate level, phase);
 3. solve the resulting Markov-modulated fluid queue with the independent
    Anick-Mitra-Sondhi spectral method;
 4. compare against the paper's bounded convolution solver — and against a
@@ -25,12 +26,9 @@ from repro.core.solver import FluidQueue, SolverConfig
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.experiments.reporting import format_series
-from repro.queueing.markov import (
-    HyperexponentialFit,
-    fit_hyperexponential,
-    renewal_markov_source,
-)
+from repro.queueing.markov import HyperexponentialFit, fit_hyperexponential
 from repro.queueing.mmfq import mmfq_loss_rate
+from repro.traffic import MarkovModulatedSource
 
 
 def main() -> None:
@@ -49,11 +47,13 @@ def main() -> None:
         "\nInterval ccdf: power law vs fitted sum of exponentials",
     ))
 
-    rich_model = renewal_markov_source(marginal, fit)
-    poor_model = renewal_markov_source(
-        marginal,
-        HyperexponentialFit(weights=np.array([1.0]), exit_rates=np.array([1.0 / law.mean])),
-    )
+    rich_model = MarkovModulatedSource(marginal=marginal, interarrival=fit).fluid_model()
+    poor_model = MarkovModulatedSource(
+        marginal=marginal,
+        interarrival=HyperexponentialFit(
+            weights=np.array([1.0]), exit_rates=np.array([1.0 / law.mean])
+        ),
+    ).fluid_model()
     print(f"\nCTMC comparators: {rich_model.size} states (12-phase), "
           f"{poor_model.size} states (memoryless)")
 

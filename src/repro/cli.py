@@ -25,8 +25,8 @@ Subcommands
 ``lint``
     Run the repo-specific static-analysis rules
     (``repro-lrd lint src/repro --format json``): fingerprint
-    completeness, concurrency discipline, numerical hygiene and
-    API-doc drift.  Exits 1 on any finding; CI gates on it.
+    completeness, concurrency discipline and numerical hygiene.  Exits
+    1 on any finding; CI gates on it.
 ``netsim``
     Run a network-of-queues simulation preset
     (``repro-lrd netsim tandem --hops 2``, ``repro-lrd netsim mux
@@ -92,7 +92,7 @@ from repro.core.validation import check_in_open_interval, check_positive
 from repro.experiments import figures, reporting
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.exec import SweepEngine
+    from repro.exec import SolveCache, SweepEngine
 
 __all__ = ["main", "build_parser"]
 
@@ -201,12 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip these rule ids or family prefixes (repeatable)",
     )
     lint.add_argument(
-        "--api-doc", default=None, metavar="PATH",
-        help="API reference checked by API001 (default: <root>/docs/api.md)",
-    )
-    lint.add_argument(
         "--root", default=None, metavar="DIR",
-        help="project root for display paths and docs (default: cwd)",
+        help="project root for display paths (default: cwd)",
     )
     lint.add_argument(
         "--out", default=None, metavar="FILE",
@@ -343,17 +339,23 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_engine(args: argparse.Namespace) -> "SweepEngine":
-    """Construct the sweep engine the figure/solve subcommands run on."""
-    from repro.exec import SolveCache, SweepEngine, resolve_backend
+def _open_cache(args: argparse.Namespace) -> "SolveCache | None":
+    """The solve cache the engine flags name; ``None`` under ``--no-cache``."""
+    from repro.exec import SolveCache
 
     if args.no_cache:
-        cache = None
-    else:
-        try:
-            cache = SolveCache(args.cache_dir)
-        except ValueError as error:
-            raise SystemExit(f"repro-lrd: {error}") from None
+        return None
+    try:
+        return SolveCache(args.cache_dir)
+    except ValueError as error:
+        raise SystemExit(f"repro-lrd: {error}") from None
+
+
+def _build_engine(args: argparse.Namespace) -> "SweepEngine":
+    """Construct the sweep engine the figure/solve subcommands run on."""
+    from repro.exec import SweepEngine, resolve_backend
+
+    cache = _open_cache(args)
 
     def progress(done: int, total: int, cell) -> None:
         if total > 1:
@@ -383,20 +385,15 @@ def _print_engine_summary(engine: "SweepEngine") -> None:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query service until interrupted, then drain."""
-    from repro.exec import SolveCache, SweepEngine, resolve_backend
+    from repro.exec import SweepEngine, resolve_backend
     from repro.serve import DEFAULT_LRU_ENTRIES, QueryService, make_server
 
-    if args.no_cache:
-        cache = None
-    else:
-        try:
-            cache = SolveCache(args.cache_dir)
-        except ValueError as error:
-            raise SystemExit(f"repro-lrd: {error}") from None
+    cache = _open_cache(args)
     # No progress callback: per-cell narration is for one-shot sweeps,
     # not a long-lived server handling many batches.
     engine = SweepEngine(backend=resolve_backend(args.jobs), cache=cache)
-    service = QueryService(
+    service = _from_flags(
+        QueryService,
         engine,
         batch_size=args.batch_size,
         batch_delay_s=args.batch_delay,
@@ -504,6 +501,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
 
     source = _from_flags(_onoff_source, args)
+    oracle = _from_flags(MatchedModelsOracle, batches=args.batches)
     buffers = list(args.buffers or (0.1, 0.5))
     families = tuple(args.families or MATCHED_FAMILIES)
     unknown = sorted(set(families) - set(MATCHED_FAMILIES))
@@ -529,7 +527,7 @@ def _run_compare(args: argparse.Namespace) -> int:
             FUZZ_SOLVER_CONFIG,
             ctx=CheckContext(solve=engine.solve),
             seed=args.seed,
-            oracle=MatchedModelsOracle(batches=args.batches),
+            oracle=oracle,
         )
         text = report.format_table()
         print(text)
@@ -554,7 +552,7 @@ def _run_lint(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(f"repro-lrd: {error}") from None
     root = Path(args.root) if args.root else Path.cwd()
-    engine = LintEngine(rules=rules, project_root=root, api_doc=args.api_doc)
+    engine = LintEngine(rules=rules, project_root=root)
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         raise SystemExit(f"repro-lrd: no such path: {', '.join(missing)}")

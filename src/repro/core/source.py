@@ -15,16 +15,18 @@ finite cutoff ``T_c`` the correlation is *exactly zero* beyond lag ``T_c``.
 
 The class also exposes sample-path generation (interval sequences and
 binned rate traces) used by the validation simulators and the shuffle
-experiments.  :func:`binned_rate_trace` is the one covering-path sampler
-behind every renewal model's ``rate_trace``: this source's and the
-Markov-modulated twin's in :mod:`repro.traffic.mmpp`.
+experiments.  Those samplers and the moments above depend on the interval
+law only through its mean, residual-life ccdf and sampler, so they are
+written once, on :class:`RenewalFluidSource`.  Its other subclass is the
+Markov-modulated source of :mod:`repro.traffic.mmpp`, whose interval law
+is a hyperexponential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,7 +34,10 @@ from repro.core.marginal import DiscreteMarginal
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.validation import check_cutoff, check_in_open_interval, check_positive
 
-__all__ = ["CutoffFluidSource", "RenewalModel", "SourcePath", "binned_rate_trace"]
+if TYPE_CHECKING:
+    from repro.queueing.markov import HyperexponentialFit
+
+__all__ = ["CutoffFluidSource", "RenewalFluidSource", "SourcePath"]
 
 
 @dataclass(frozen=True)
@@ -105,52 +110,84 @@ class SourcePath:
         return np.diff(work_at_edges) / bin_width
 
 
-class RenewalModel(Protocol):
+class RenewalFluidSource:
     """A fluid source whose rate path is i.i.d. ``(duration, rate)`` pairs.
 
-    :class:`CutoffFluidSource` and
-    :class:`~repro.traffic.mmpp.MarkovModulatedSource` are the two; the
-    trace sampler below and netsim's ``RenewalSource`` take either.
+    At each renewal epoch a rate is drawn from ``marginal`` and held for
+    an interval drawn from ``interarrival``.  Every member below reads
+    the interval law only through its ``mean``, ``residual_sf`` and
+    ``sample``, so the paper's :class:`CutoffFluidSource` (truncated
+    Pareto intervals) and
+    :class:`~repro.traffic.mmpp.MarkovModulatedSource` (hyperexponential
+    intervals) share them.  Each subclass is a frozen dataclass that
+    declares both fields in its own body, where the solve-cache key's
+    lint rule reads them.  netsim's ``RenewalSource`` streams either.
     """
+
+    marginal: DiscreteMarginal
+    interarrival: TruncatedPareto | HyperexponentialFit
 
     @property
     def mean_rate(self) -> float:
-        """Long-run mean fluid rate."""
+        """Mean fluid rate ``mu = Pi Lambda 1^T`` (Eq. 2)."""
+        return self.marginal.mean
+
+    @property
+    def rate_variance(self) -> float:
+        """Variance ``sigma^2`` of the fluid rate (Eq. 4)."""
+        return self.marginal.variance
 
     @property
     def mean_interval(self) -> float:
-        """Mean length of one interval."""
+        """Mean interval length ``E[T]`` (Eq. 25 for the truncated Pareto)."""
+        return self.interarrival.mean
+
+    def autocovariance(self, lag: np.ndarray | float) -> np.ndarray | float:
+        """Autocovariance ``phi(t) = sigma^2 Pr{tau_res >= t}`` (Eqs. 3, 8)."""
+        result = self.rate_variance * np.asarray(
+            self.interarrival.residual_sf(lag), dtype=np.float64
+        )
+        return result if np.ndim(lag) else float(result)
+
+    def autocorrelation(self, lag: np.ndarray | float) -> np.ndarray | float:
+        """Normalized autocovariance ``phi(t)/sigma^2`` in [0, 1]."""
+        result = np.asarray(self.interarrival.residual_sf(lag), dtype=np.float64)
+        return result if np.ndim(lag) else float(result)
 
     def sample_path(self, intervals: int, rng: np.random.Generator) -> SourcePath:
-        """Draw ``intervals`` i.i.d. ``(duration, rate)`` pairs."""
+        """Draw ``intervals`` i.i.d. (duration, rate) pairs: all durations, then all rates."""
+        if intervals < 1:
+            raise ValueError(f"intervals must be >= 1, got {intervals}")
+        durations = self.interarrival.sample(intervals, rng)
+        rates = self.marginal.sample(intervals, rng)
+        return SourcePath(durations=durations, rates=rates)
 
+    def rate_trace(
+        self, duration: float, bin_width: float, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Sample the path in batches until it covers ``duration``, then bin it.
 
-def binned_rate_trace(
-    model: RenewalModel, duration: float, bin_width: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample ``model``'s path in batches until it covers ``duration``, then bin it.
-
-    Returns ``int(duration / bin_width)`` bins.  Each batch draws 20 %
-    more intervals than the uncovered time needs on average, and at
-    least 64.
-    """
-    duration = check_positive("duration", duration)
-    bin_width = check_positive("bin_width", bin_width)
-    mean_interval = model.mean_interval
-    batches: list[SourcePath] = []
-    covered = 0.0
-    while covered < duration:
-        remaining = duration - covered
-        n = max(64, int(1.2 * remaining / mean_interval) + 1)
-        path = model.sample_path(n, rng)
-        batches.append(path)
-        covered += path.total_time
-    trace = SourcePath.joined(batches).to_binned_rates(bin_width)
-    return trace[: int(duration / bin_width)]
+        Returns ``int(duration / bin_width)`` bins.  Each batch draws 20 %
+        more intervals than the uncovered time needs on average, and at
+        least 64.
+        """
+        duration = check_positive("duration", duration)
+        bin_width = check_positive("bin_width", bin_width)
+        mean_interval = self.mean_interval
+        batches: list[SourcePath] = []
+        covered = 0.0
+        while covered < duration:
+            remaining = duration - covered
+            n = max(64, int(1.2 * remaining / mean_interval) + 1)
+            path = self.sample_path(n, rng)
+            batches.append(path)
+            covered += path.total_time
+        trace = SourcePath.joined(batches).to_binned_rates(bin_width)
+        return trace[: int(duration / bin_width)]
 
 
 @dataclass(frozen=True)
-class CutoffFluidSource:
+class CutoffFluidSource(RenewalFluidSource):
     """Modulated fluid source with i.i.d. rates and truncated-Pareto intervals.
 
     Parameters
@@ -241,16 +278,6 @@ class CutoffFluidSource:
     # ------------------------------------------------------------------ #
 
     @property
-    def mean_rate(self) -> float:
-        """Mean fluid rate ``mu = Pi Lambda 1^T`` (Eq. 2)."""
-        return self.marginal.mean
-
-    @property
-    def rate_variance(self) -> float:
-        """Variance ``sigma^2`` of the fluid rate (Eq. 4)."""
-        return self.marginal.variance
-
-    @property
     def hurst(self) -> float:
         """Hurst parameter of the (untruncated) correlation decay."""
         return self.interarrival.hurst
@@ -259,23 +286,6 @@ class CutoffFluidSource:
     def cutoff(self) -> float:
         """Cutoff lag ``T_c`` beyond which correlation is exactly zero."""
         return self.interarrival.cutoff
-
-    @property
-    def mean_interval(self) -> float:
-        """Mean interval length ``E[T]`` at the *current* cutoff (Eq. 25)."""
-        return self.interarrival.mean
-
-    def autocovariance(self, lag: np.ndarray | float) -> np.ndarray | float:
-        """Autocovariance ``phi(t) = sigma^2 Pr{tau_res >= t}`` (Eqs. 3, 8)."""
-        result = self.rate_variance * np.asarray(
-            self.interarrival.residual_sf(lag), dtype=np.float64
-        )
-        return result if np.ndim(lag) else float(result)
-
-    def autocorrelation(self, lag: np.ndarray | float) -> np.ndarray | float:
-        """Normalized autocovariance ``phi(t)/sigma^2`` in [0, 1]."""
-        result = np.asarray(self.interarrival.residual_sf(lag), dtype=np.float64)
-        return result if np.ndim(lag) else float(result)
 
     def cumulative_arrival_variance(self, horizon: float, grid_points: int = 4096) -> float:
         """``Var[A(t)]`` of cumulative arrivals over ``[0, horizon]``.
@@ -290,21 +300,3 @@ class CutoffFluidSource:
         s = np.linspace(0.0, upper, grid_points)
         integrand = (horizon - s) * np.asarray(self.autocovariance(s))
         return float(2.0 * np.trapezoid(integrand, s))
-
-    # ------------------------------------------------------------------ #
-    # sampling
-    # ------------------------------------------------------------------ #
-
-    def sample_path(self, intervals: int, rng: np.random.Generator) -> SourcePath:
-        """Draw ``intervals`` i.i.d. (duration, rate) pairs."""
-        if intervals < 1:
-            raise ValueError(f"intervals must be >= 1, got {intervals}")
-        durations = self.interarrival.sample(intervals, rng)
-        rates = self.marginal.sample(intervals, rng)
-        return SourcePath(durations=durations, rates=rates)
-
-    def rate_trace(
-        self, duration: float, bin_width: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample a binned rate trace covering at least ``duration`` seconds."""
-        return binned_rate_trace(self, duration, bin_width, rng)

@@ -11,9 +11,7 @@ this repository's unwritten invariants:
   lock is held (``CON001``-``CON003``);
 * numerical hygiene — no inexact float equality, no global RNG state,
   no wall-clock reads, no precision downcasts in the core (``NUM001``-
-  ``NUM004``);
-* API-surface drift — ``__all__`` exports must appear in the generated
-  ``docs/api.md`` (``API001``).
+  ``NUM004``).
 
 Run it as ``repro-lrd lint [paths]`` (defaults to ``src/repro``); CI
 fails on any finding.  Silence an intentional violation on its own line
@@ -21,7 +19,6 @@ with ``# lint: ignore[RULE001] reason`` — see :mod:`repro.lintkit.engine`.
 """
 
 from repro.lintkit import (  # noqa: F401  (imported for rule registration)
-    rules_api,
     rules_concurrency,
     rules_fingerprint,
     rules_numeric,

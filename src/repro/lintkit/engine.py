@@ -106,13 +106,10 @@ class LintContext:
     """Everything a rule may consult beyond its own file.
 
     ``files`` is the full parsed file set of the run (cross-file rules
-    index it); ``project_root`` anchors repo-level artifacts such as the
-    generated API reference at ``api_doc``.
+    index it).
     """
 
     files: list[SourceFile]
-    project_root: Path
-    api_doc: Path | None = None
 
     def file_for_module(self, module: str) -> SourceFile | None:
         for source in self.files:
@@ -128,11 +125,9 @@ class LintEngine:
         self,
         rules: Sequence[Rule] | None = None,
         project_root: Path | str | None = None,
-        api_doc: Path | str | None = None,
     ) -> None:
         self.rules: list[Rule] = list(rules) if rules is not None else all_rules()
         self.project_root = Path(project_root) if project_root is not None else Path.cwd()
-        self.api_doc = Path(api_doc) if api_doc is not None else None
         self.parse_errors: list[Finding] = []
         self.files: list[SourceFile] = []
 
@@ -183,13 +178,7 @@ class LintEngine:
         """
         files = self.collect(paths)
         self.files = files
-        context = LintContext(
-            files=files,
-            project_root=self.project_root,
-            api_doc=self.api_doc
-            if self.api_doc is not None
-            else self.project_root / "docs" / "api.md",
-        )
+        context = LintContext(files=files)
         by_display = {source.display_path: source for source in files}
         findings: list[Finding] = list(self.parse_errors)
         for rule in self.rules:
@@ -209,8 +198,7 @@ def lint_paths(
     paths: Iterable[Path | str],
     rules: Sequence[Rule] | None = None,
     project_root: Path | str | None = None,
-    api_doc: Path | str | None = None,
 ) -> list[Finding]:
     """One-call façade: lint ``paths`` with the full (or given) rule set."""
-    engine = LintEngine(rules=rules, project_root=project_root, api_doc=api_doc)
+    engine = LintEngine(rules=rules, project_root=project_root)
     return engine.run(paths)

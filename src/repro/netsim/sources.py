@@ -12,9 +12,9 @@ through one interface.
 Two adapters cover the repo's generator families:
 
 * :class:`RenewalSource` — any renewal model
-  (:class:`~repro.core.source.RenewalModel`): the paper's cutoff fluid
-  source or Clegg's Markov-modulated one, its i.i.d. ``(T_n, lambda_n)``
-  pairs sampled lazily, 1024 at a time.  A one-node topology fed by the
+  (:class:`~repro.core.source.RenewalFluidSource`): the paper's cutoff
+  fluid source or Clegg's Markov-modulated one, its i.i.d.
+  ``(T_n, lambda_n)`` pairs sampled lazily, 1024 at a time.  A one-node topology fed by the
   paper's source is *exactly* the queue of Eq. 9.
 * :class:`SegmentSource` — a *known* path of explicit ``(durations,
   rates)``: the netsim-vs-solver oracle replays one sampled renewal path
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.source import RenewalModel
+from repro.core.source import RenewalFluidSource
 from repro.core.validation import check_positive
 
 __all__ = [
@@ -112,7 +112,7 @@ class RenewalSource(RateSource):
     the horizon.
     """
 
-    source: RenewalModel
+    source: RenewalFluidSource
 
     @property
     def mean_rate(self) -> float:  # type: ignore[override]

@@ -17,7 +17,6 @@ from repro.queueing.markov import (
     fit_hyperexponential,
     fit_multiscale_source,
     multiscale_onoff_model,
-    renewal_markov_source,
 )
 from repro.queueing.dimensioning import (
     MultiplexingGain,
@@ -56,7 +55,6 @@ __all__ = [
     "mmfq_occupancy_cdf",
     "HyperexponentialFit",
     "fit_hyperexponential",
-    "renewal_markov_source",
     "multiscale_onoff_model",
     "fit_multiscale_source",
     "DominantTimeScale",

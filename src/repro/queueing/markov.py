@@ -1,4 +1,4 @@
-"""Markov substrate: hyperexponential fitting and Markov source constructions.
+"""Markov substrate: hyperexponential fitting and multi-time-scale Markov sources.
 
 Section IV of the paper argues that *any* model capturing the correlation
 structure up to the correlation horizon predicts the loss rate — including
@@ -8,28 +8,31 @@ module builds those comparators:
 
 * :func:`fit_hyperexponential` — Feldmann-Whitt recursive fitting of a
   hyperexponential (mixture of exponentials) to the heavy-tailed
-  truncated-Pareto interarrival ccdf;
-* :func:`renewal_markov_source` — expands the paper's renewal fluid model
-  into an honest CTMC on states ``(rate level, phase)``: holding times are
-  the fitted hyperexponential, and at each renewal a fresh (rate, phase)
-  pair is drawn i.i.d.  Its rate autocovariance is
-  ``sigma^2 * sum_m p_m exp(-nu_m t)`` — the exponential-mixture
-  approximation of the model's Eq. 8 covariance;
+  truncated-Pareto interarrival ccdf.  The renewal source with these
+  intervals is :class:`~repro.traffic.mmpp.MarkovModulatedSource`, and
+  its ``fluid_model()`` is the honest CTMC on ``(rate level, phase)``
+  states whose rate autocovariance ``sigma^2 * sum_m p_m exp(-nu_m t)``
+  is the exponential-mixture approximation of the model's Eq. 8;
 * :func:`multiscale_onoff_model` — a Robert-Le Boudec-style multi-time-
   scale source: the Kronecker sum of J independent two-state chains with
   geometrically spaced time constants, whose covariance is a sum of J
-  exponentials spanning the chosen range of scales (a pseudo power law).
+  exponentials spanning the chosen range of scales (a pseudo power law);
+  :func:`fit_multiscale_source` fits its per-scale variances to a cutoff
+  fluid source.
+
+Both fits reach up to the same longest time scale, :func:`_top_scale`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
-from repro.core.marginal import DiscreteMarginal
+from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.validation import check_in_open_interval, check_positive
 from repro.queueing.mmfq import MarkovFluidModel
@@ -37,10 +40,17 @@ from repro.queueing.mmfq import MarkovFluidModel
 __all__ = [
     "HyperexponentialFit",
     "fit_hyperexponential",
-    "renewal_markov_source",
     "multiscale_onoff_model",
     "fit_multiscale_source",
 ]
+
+_SAMPLES_PER_PHASE = 24
+"""Density of the ccdf grid the hyperexponential least-squares fit samples."""
+
+
+def _top_scale(law: TruncatedPareto) -> float:
+    """Longest time scale a fit tracks: the cutoff, or ``theta * 1e4`` if infinite."""
+    return law.cutoff if law.cutoff != math.inf else law.theta * 1e4
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,8 @@ class HyperexponentialFit:
     exit_rates: np.ndarray
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64)
-        exit_rates = np.asarray(self.exit_rates, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
+        exit_rates = np.array(self.exit_rates, dtype=np.float64)
         if weights.shape != exit_rates.shape or weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights and exit_rates must be matching 1-D arrays")
         if np.any(weights <= 0.0) or np.any(exit_rates <= 0.0):
@@ -82,30 +92,34 @@ class HyperexponentialFit:
         """Mean of the mixture, ``sum w_m / nu_m``."""
         return float((self.weights / self.exit_rates).sum())
 
+    @property
+    def phase_occupancy(self) -> np.ndarray:
+        """Long-run fraction of time spent in each phase, ``(w_m / nu_m) / mean``."""
+        return (self.weights / self.exit_rates) / self.mean
+
     def sf(self, t: np.ndarray | float) -> np.ndarray | float:
         """Complementary cdf of the mixture."""
-        t_arr = np.asarray(t, dtype=np.float64)
-        decay = np.exp(-np.outer(t_arr.ravel(), self.exit_rates))
-        out = (self.weights[None, :] * decay).sum(axis=1)
-        out = out.reshape(t_arr.shape)
-        return out if np.ndim(t) else float(out)
+        return self._mix(self.weights, t)
 
     def residual_sf(self, t: np.ndarray | float) -> np.ndarray | float:
         """Stationary residual-life ccdf — the induced rate autocorrelation."""
+        return self._mix(self.phase_occupancy, t)
+
+    def _mix(self, coefficients: np.ndarray, t: np.ndarray | float) -> np.ndarray | float:
+        """``sum_m coefficients_m exp(-nu_m t)`` at each ``t``."""
         t_arr = np.asarray(t, dtype=np.float64)
-        time_weights = (self.weights / self.exit_rates) / self.mean
         decay = np.exp(-np.outer(t_arr.ravel(), self.exit_rates))
-        out = (time_weights[None, :] * decay).sum(axis=1)
+        out = (coefficients[None, :] * decay).sum(axis=1)
         out = out.reshape(t_arr.shape)
         return out if np.ndim(t) else float(out)
 
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``size`` i.i.d. intervals: all phases first, then unit exponentials."""
+        phase = rng.choice(self.phases, size=size, p=self.weights)
+        return rng.exponential(size=size) / self.exit_rates[phase]
 
-def fit_hyperexponential(
-    law: TruncatedPareto,
-    phases: int = 8,
-    span_decades: float | None = None,
-    samples_per_phase: int = 24,
-) -> HyperexponentialFit:
+
+def fit_hyperexponential(law: TruncatedPareto, phases: int = 8) -> HyperexponentialFit:
     """Fit a hyperexponential to a truncated-Pareto ccdf.
 
     In the spirit of Feldmann & Whitt's recursive matching — a power-law
@@ -123,11 +137,6 @@ def fit_hyperexponential(
     phases:
         Dictionary size (more phases, wider faithful range); zero-weight
         phases are dropped from the result.
-    span_decades:
-        Decades of time scale the dictionary covers, ending at ``top``.
-        Default: the full ``[theta/20, top]`` range.
-    samples_per_phase:
-        Density of the ccdf sampling grid used by the least-squares fit.
 
     Returns
     -------
@@ -135,17 +144,14 @@ def fit_hyperexponential(
     """
     if phases < 1:
         raise ValueError(f"phases must be >= 1, got {phases}")
-    if samples_per_phase < 2:
-        raise ValueError(f"samples_per_phase must be >= 2, got {samples_per_phase}")
-    top = law.cutoff if law.cutoff != math.inf else law.theta * 1e4
-    if span_decades is None:
-        span_decades = max(1.0, math.log10(top / (law.theta / 20.0)))
+    top = _top_scale(law)
+    span_decades = max(1.0, math.log10(top / (law.theta / 20.0)))
     # Time constants tau_m log-spaced; exit rates nu_m = 1/tau_m.
     taus = np.logspace(math.log10(top), math.log10(top) - span_decades, phases)
     exit_rates = 1.0 / taus
 
     t_samples = np.logspace(
-        math.log10(top) - span_decades, math.log10(top), samples_per_phase * phases
+        math.log10(top) - span_decades, math.log10(top), _SAMPLES_PER_PHASE * phases
     )
     target = np.asarray(law.sf(t_samples))
     keep = target > 1e-14
@@ -165,7 +171,7 @@ def fit_hyperexponential(
 
     positive = weights > 1e-12
     if not np.any(positive):
-        raise ValueError("hyperexponential fit failed; widen span_decades")
+        raise ValueError("hyperexponential fit failed: every weight is zero")
     weights = weights[positive]
     rates = exit_rates[positive]
     weights = weights / weights.sum()
@@ -173,32 +179,8 @@ def fit_hyperexponential(
     return HyperexponentialFit(weights=weights[order], exit_rates=rates[order])
 
 
-def renewal_markov_source(
-    marginal: DiscreteMarginal, fit: HyperexponentialFit
-) -> MarkovFluidModel:
-    """CTMC expansion of the renewal fluid source with hyperexponential intervals.
-
-    States are pairs ``(rate level i, phase m)``: the fluid rate is
-    ``lambda_i``, the exponential holding rate is ``nu_m``, and at each
-    jump a fresh pair is drawn i.i.d. with probability ``pi_j w_m'``.
-    The resulting rate autocovariance is
-    ``sigma^2 * residual_sf_of_mixture(t)`` — the Markov approximation of
-    the paper's Eq. 8.
-    """
-    n_levels = marginal.size
-    n_phases = fit.phases
-    size = n_levels * n_phases
-    arrival_prob = np.outer(marginal.probs, fit.weights).ravel()  # prob of (j, m')
-    exit_rates = np.tile(fit.exit_rates, n_levels)  # index (i, m) -> nu_m
-
-    generator = np.outer(exit_rates, arrival_prob)
-    generator[np.arange(size), np.arange(size)] -= exit_rates
-    rates = np.repeat(marginal.rates, n_phases)
-    return MarkovFluidModel(generator=generator, rates=rates)
-
-
 def fit_multiscale_source(
-    source: "CutoffFluidSource",
+    source: CutoffFluidSource,
     scales: int = 6,
     on_probability: float | None = None,
 ) -> MarkovFluidModel:
@@ -217,20 +199,16 @@ def fit_multiscale_source(
 
     This is the second Markov comparator of Section IV: a parsimonious
     multi-time-scale model (one parameter per scale) rather than the
-    (rate-level x phase) expansion of :func:`renewal_markov_source`.
+    (rate-level x phase) CTMC of
+    :meth:`~repro.traffic.mmpp.MarkovModulatedSource.fluid_model`.
     """
-    from repro.core.source import CutoffFluidSource  # local: avoid cycle at import
-
     if not isinstance(source, CutoffFluidSource):
         raise TypeError("source must be a CutoffFluidSource")
-    if scales < 1:
-        raise ValueError(f"scales must be >= 1, got {scales}")
-    if scales > 12:
-        raise ValueError("scales > 12 would create a >4096-state model; refuse")
+    _check_scales(scales)
     if on_probability is not None:
         check_in_open_interval("on_probability", on_probability, 0.0, 1.0)
     law = source.interarrival
-    top = law.cutoff if law.cutoff != math.inf else law.theta * 1e4
+    top = _top_scale(law)
     taus = np.logspace(math.log10(law.theta), math.log10(top), scales)
 
     lags = np.logspace(math.log10(law.theta / 4.0), math.log10(top), 16 * scales)
@@ -267,18 +245,7 @@ def fit_multiscale_source(
         shrink = source.mean_rate / mean_from_chains
         peaks = peaks * shrink
         base_rate = 0.0
-
-    generator = np.zeros((1, 1))
-    rates = np.full(1, base_rate)
-    for tau, peak in zip(taus, peaks):
-        to_on = p / tau
-        to_off = (1.0 - p) / tau
-        chain = np.array([[-to_on, to_on], [to_off, -to_off]])
-        chain_rates = np.array([0.0, peak])
-        size = generator.shape[0]
-        generator = np.kron(generator, np.eye(2)) + np.kron(np.eye(size), chain)
-        rates = (rates[:, None] + chain_rates[None, :]).ravel()
-    return MarkovFluidModel(generator=generator, rates=rates)
+    return _superpose_onoff_chains(taus, peaks, p, base_rate)
 
 
 def multiscale_onoff_model(
@@ -298,26 +265,45 @@ def multiscale_onoff_model(
 
     Returns a model with ``2**scales`` states (keep ``scales <= 10``).
     """
-    if scales < 1:
-        raise ValueError(f"scales must be >= 1, got {scales}")
-    if scales > 12:
-        raise ValueError("scales > 12 would create a >4096-state model; refuse")
+    _check_scales(scales)
     check_positive("fastest_time", fastest_time)
     check_positive("scale_factor", scale_factor)
     check_positive("peak_rate_per_scale", peak_rate_per_scale)
     check_in_open_interval("on_probability", on_probability, 0.0, 1.0)
+    return _superpose_onoff_chains(
+        [fastest_time * scale_factor**j for j in range(scales)],
+        [peak_rate_per_scale] * scales,
+        on_probability,
+        0.0,
+    )
 
+
+def _check_scales(scales: int) -> None:
+    if scales < 1:
+        raise ValueError(f"scales must be >= 1, got {scales}")
+    if scales > 12:
+        raise ValueError("scales > 12 would create a >4096-state model; refuse")
+
+
+def _superpose_onoff_chains(
+    time_constants: Iterable[float],
+    peaks: Iterable[float],
+    on_probability: float,
+    base_rate: float,
+) -> MarkovFluidModel:
+    """Kronecker sum of independent two-state chains; rates add across chains.
+
+    Chain j has stationary ON probability ``p`` and relaxation time
+    ``tau_j`` (off->on at ``p / tau_j``, on->off at ``(1 - p) / tau_j``)
+    and adds ``peaks[j]`` to ``base_rate`` while ON.
+    """
     generator = np.zeros((1, 1))
-    rates = np.zeros(1)
-    for j in range(scales):
-        time_constant = fastest_time * scale_factor**j
-        # Two-state chain with stationary ON probability p and relaxation
-        # time `time_constant`: rates off->on = p/tc, on->off = (1-p)/tc.
-        to_on = on_probability / time_constant
-        to_off = (1.0 - on_probability) / time_constant
+    rates = np.full(1, base_rate)
+    for tau, peak in zip(time_constants, peaks):
+        to_on = on_probability / tau
+        to_off = (1.0 - on_probability) / tau
         chain = np.array([[-to_on, to_on], [to_off, -to_off]])
-        chain_rates = np.array([0.0, peak_rate_per_scale])
-        # Kronecker sum for independent chains; rates add across chains.
+        chain_rates = np.array([0.0, peak])
         size = generator.shape[0]
         generator = np.kron(generator, np.eye(2)) + np.kron(np.eye(size), chain)
         rates = (rates[:, None] + chain_rates[None, :]).ravel()

@@ -262,7 +262,9 @@ class MatchedModelsOracle:
     cases are out of the oracle's domain rather than failures.
 
     ``batches`` is the one setting (``repro compare --batches``); every
-    tolerance is a fixed class attribute.
+    tolerance is a fixed class attribute.  A batch-mean band needs at
+    least two batches: with one, its half-width is NaN and every cell
+    would agree.
     """
 
     name = "matched_models"
@@ -277,6 +279,8 @@ class MatchedModelsOracle:
     horizon_cover = 1.0
 
     def __init__(self, batches: int = 4) -> None:
+        if batches < 2:
+            raise ValueError(f"batches must be >= 2, got {batches}")
         self.batches = batches
 
     def applies(self, scenario: Scenario) -> bool:

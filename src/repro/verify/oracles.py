@@ -399,8 +399,9 @@ class NetSimSolverOracle:
 class MarkovEquivalenceOracle:
     """A correlation-matched Markov model predicts the same loss (Section IV).
 
-    Fits a hyperexponential to the interarrival ccdf, expands the renewal
-    source into a CTMC and solves the resulting MMFQ with the independent
+    Builds the source's Markov-modulated twin (its marginal coarsened to
+    ``max_levels`` rates, its interval law fitted by a ``phases``-phase
+    hyperexponential) and solves that CTMC's queue with the independent
     Anick-Mitra-Sondhi spectral method.  The interval law is approximate,
     so agreement is judged on the order of magnitude: the two predictions
     must stay within ``max_log10_ratio`` decades.
@@ -428,18 +429,18 @@ class MarkovEquivalenceOracle:
         )
 
     def run(self, scenario: Scenario, ctx: CheckContext) -> CheckOutcome:
-        from repro.queueing.markov import fit_hyperexponential, renewal_markov_source
         from repro.queueing.mmfq import mmfq_loss_rate
+        from repro.traffic import MarkovModulatedSource
 
         result = ctx.solve_scenario(scenario)
         if not result.converged or result.estimate < self.min_loss:
             return CheckOutcome.skip(
                 self.name, "reference loss unconverged or below comparison floor"
             )
-        marginal = scenario.source.marginal.rebinned(self.max_levels)
-        fit = fit_hyperexponential(scenario.source.interarrival, phases=self.phases)
-        model = renewal_markov_source(marginal, fit)
-        service_rate = scenario.source.mean_rate / scenario.utilization
+        source = scenario.source
+        coarse = source.with_marginal(source.marginal.rebinned(self.max_levels))
+        model = MarkovModulatedSource.from_source(coarse, phases=self.phases).fluid_model()
+        service_rate = source.mean_rate / scenario.utilization
         buffer_size = scenario.normalized_buffer * service_rate
         markov_loss = mmfq_loss_rate(model, service_rate, buffer_size)
         ratio = math.log10(max(markov_loss, 1e-300) / result.estimate)

@@ -15,8 +15,9 @@ import pytest
 from repro.core.solver import FluidQueue, SolverConfig
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
-from repro.queueing.markov import fit_hyperexponential, renewal_markov_source
+from repro.queueing.markov import HyperexponentialFit, fit_hyperexponential
 from repro.queueing.mmfq import mmfq_loss_rate
+from repro.traffic import MarkovModulatedSource
 
 pytestmark = pytest.mark.slow
 
@@ -30,8 +31,7 @@ def test_markov_model_matches_cutoff_model(onoff_marginal, cutoff):
     queue = FluidQueue(source=source, service_rate=service_rate, buffer_size=buffer_size)
     reference = queue.loss_rate(SolverConfig(relative_gap=0.05))
 
-    fit = fit_hyperexponential(law, phases=12)
-    model = renewal_markov_source(onoff_marginal, fit)
+    model = MarkovModulatedSource.from_source(source, phases=12).fluid_model()
     markov_loss = mmfq_loss_rate(model, service_rate, buffer_size)
 
     # Two entirely different numerical methods and an approximate interval
@@ -49,18 +49,13 @@ def test_markov_equivalence_breaks_without_enough_phases(onoff_marginal):
     queue = FluidQueue(source=source, service_rate=service_rate, buffer_size=buffer_size)
     reference = queue.loss_rate(SolverConfig(relative_gap=0.05)).estimate
 
-    rich_fit = fit_hyperexponential(law, phases=12)
-    rich = mmfq_loss_rate(
-        renewal_markov_source(onoff_marginal, rich_fit), service_rate, buffer_size
-    )
+    def markov_loss(fit: HyperexponentialFit) -> float:
+        model = MarkovModulatedSource(marginal=onoff_marginal, interarrival=fit).fluid_model()
+        return mmfq_loss_rate(model, service_rate, buffer_size)
 
-    from repro.queueing.markov import HyperexponentialFit
-
-    poor_fit = HyperexponentialFit(
-        weights=np.array([1.0]), exit_rates=np.array([1.0 / law.mean])
-    )
-    poor = mmfq_loss_rate(
-        renewal_markov_source(onoff_marginal, poor_fit), service_rate, buffer_size
+    rich = markov_loss(fit_hyperexponential(law, phases=12))
+    poor = markov_loss(
+        HyperexponentialFit(weights=np.array([1.0]), exit_rates=np.array([1.0 / law.mean]))
     )
 
     assert abs(np.log10(max(rich, 1e-15) / max(reference, 1e-15))) < abs(
@@ -78,8 +73,7 @@ def test_footnote2_overflow_bounds_loss(onoff_marginal):
     law = TruncatedPareto(theta=0.1, alpha=1.4, cutoff=5.0)
     source = CutoffFluidSource(marginal=onoff_marginal, interarrival=law)
     service_rate = 1.4  # utilization ~0.71: stable for the infinite queue
-    fit = fit_hyperexponential(law, phases=12)
-    model = renewal_markov_source(onoff_marginal, fit)
+    model = MarkovModulatedSource.from_source(source, phases=12).fluid_model()
     for buffer_size in (0.3, 1.0, 3.0):
         queue = FluidQueue(
             source=source, service_rate=service_rate, buffer_size=buffer_size
@@ -94,8 +88,7 @@ def test_footnote2_overflow_bounds_loss(onoff_marginal):
 def test_markov_covariance_matches_up_to_cutoff(onoff_marginal):
     law = TruncatedPareto(theta=0.05, alpha=1.3, cutoff=20.0)
     source = CutoffFluidSource(marginal=onoff_marginal, interarrival=law)
-    fit = fit_hyperexponential(law, phases=12)
-    model = renewal_markov_source(onoff_marginal, fit)
+    model = MarkovModulatedSource.from_source(source, phases=12).fluid_model()
     lags = np.logspace(-2, np.log10(law.cutoff * 0.5), 12)
     exact = np.asarray(source.autocovariance(lags))
     markov = model.rate_autocovariance(lags)

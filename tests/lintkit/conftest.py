@@ -20,13 +20,13 @@ def lint_tree(tmp_path):
     family under test so fixtures stay minimal.
     """
 
-    def run(files: dict[str, str], select=None, ignore=None, api_doc=None):
+    def run(files: dict[str, str], select=None, ignore=None):
         for relpath, code in files.items():
             path = tmp_path / relpath
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(code), encoding="utf-8")
         rules = rules_by_id(select=select, ignore=ignore)
-        engine = LintEngine(rules=rules, project_root=tmp_path, api_doc=api_doc)
+        engine = LintEngine(rules=rules, project_root=tmp_path)
         return engine.run([tmp_path])
 
     return run

@@ -87,5 +87,5 @@ def test_lint_cli_rejects_missing_path(tmp_path):
 def test_lint_cli_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("FPR001", "CON001", "NUM001", "API001"):
+    for rule_id in ("FPR001", "CON001", "NUM001"):
         assert rule_id in out

@@ -1,4 +1,4 @@
-"""Tests for hyperexponential fitting and Markov source constructions."""
+"""Tests for hyperexponential fitting and the Markov source constructions."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from repro.queueing.markov import (
     HyperexponentialFit,
     fit_hyperexponential,
     multiscale_onoff_model,
-    renewal_markov_source,
 )
+from repro.traffic import MarkovModulatedSource
 
 
 @pytest.fixture
@@ -64,21 +64,45 @@ class TestHyperexponentialFit:
         with pytest.raises(ValueError, match="phases"):
             fit_hyperexponential(target_law, phases=0)
 
+    def test_sample_draws_phases_then_unit_exponentials(self, target_law):
+        fit = fit_hyperexponential(target_law, phases=6)
+        drawn = fit.sample(500, np.random.default_rng(5))
+        replay = np.random.default_rng(5)
+        phase = replay.choice(fit.phases, size=500, p=fit.weights)
+        np.testing.assert_array_equal(
+            drawn, replay.exponential(size=500) / fit.exit_rates[phase]
+        )
+
+    def test_sample_mean_matches(self, target_law):
+        fit = fit_hyperexponential(target_law, phases=6)
+        drawn = fit.sample(200_000, np.random.default_rng(6))
+        assert float(drawn.mean()) == pytest.approx(fit.mean, rel=0.05)
+
+    def test_copies_its_arrays(self):
+        weights, exit_rates = np.array([0.5, 0.5]), np.array([2.0, 1.0])
+        fit = HyperexponentialFit(weights=weights, exit_rates=exit_rates)
+        weights[0] = 0.9
+        assert weights.flags.writeable and fit.weights[0] == 0.5
+        assert not fit.weights.flags.writeable
+
+
+def _model(marginal, law, phases):
+    return MarkovModulatedSource(
+        marginal=marginal, interarrival=fit_hyperexponential(law, phases=phases)
+    ).fluid_model()
+
 
 class TestRenewalMarkovSource:
     def test_state_space_size(self, target_law, three_level_marginal):
-        fit = fit_hyperexponential(target_law, phases=6)
-        model = renewal_markov_source(three_level_marginal, fit)
-        assert model.size == 3 * fit.phases
+        model = _model(three_level_marginal, target_law, 6)
+        assert model.size == 3 * fit_hyperexponential(target_law, phases=6).phases
 
     def test_mean_rate_matches_marginal(self, target_law, three_level_marginal):
-        fit = fit_hyperexponential(target_law, phases=6)
-        model = renewal_markov_source(three_level_marginal, fit)
+        model = _model(three_level_marginal, target_law, 6)
         assert model.mean_rate == pytest.approx(three_level_marginal.mean, rel=1e-6)
 
     def test_covariance_approximates_cutoff_model(self, target_law, onoff_marginal):
-        fit = fit_hyperexponential(target_law, phases=10)
-        model = renewal_markov_source(onoff_marginal, fit)
+        model = _model(onoff_marginal, target_law, 10)
         source = CutoffFluidSource(marginal=onoff_marginal, interarrival=target_law)
         lags = np.array([0.05, 0.2, 1.0, 5.0])
         markov_cov = model.rate_autocovariance(lags)
@@ -86,9 +110,29 @@ class TestRenewalMarkovSource:
         np.testing.assert_allclose(markov_cov, exact_cov, atol=0.06)
 
     def test_generator_rows_sum_to_zero(self, target_law, onoff_marginal):
-        fit = fit_hyperexponential(target_law, phases=4)
-        model = renewal_markov_source(onoff_marginal, fit)
+        model = _model(onoff_marginal, target_law, 4)
         np.testing.assert_allclose(model.generator.sum(axis=1), 0.0, atol=1e-10)
+
+    def test_generator_is_the_renewal_chain(self, target_law, three_level_marginal):
+        # State (i, m) leaves at nu_m and lands on (j, m') with probability
+        # pi_j w_m'; a jump back onto itself is folded into the diagonal.
+        fit = fit_hyperexponential(target_law, phases=5)
+        model = MarkovModulatedSource(
+            marginal=three_level_marginal, interarrival=fit
+        ).fluid_model()
+        probs, rates = three_level_marginal.probs, three_level_marginal.rates
+        size = three_level_marginal.size * fit.phases
+        expected = np.empty((size, size))
+        for i in range(three_level_marginal.size):
+            for m in range(fit.phases):
+                for j in range(three_level_marginal.size):
+                    for k in range(fit.phases):
+                        expected[i * fit.phases + m, j * fit.phases + k] = (
+                            fit.exit_rates[m] * (probs[j] * fit.weights[k])
+                        )
+                expected[i * fit.phases + m, i * fit.phases + m] -= fit.exit_rates[m]
+        np.testing.assert_array_equal(model.generator, expected)
+        np.testing.assert_array_equal(model.rates, np.repeat(rates, fit.phases))
 
 
 class TestFitMultiscaleSource:

@@ -130,6 +130,14 @@ class TestCommands:
             ["netsim", "tandem", "--hops", "0"],
             ["netsim", "mux", "--duration", "-1"],
             ["netsim", "tandem", "--warmup", "-1", "--duration", "1"],
+            ["compare", "--batches", "1", "--buffer", "0.1"],
+            ["compare", "--batches", "0", "--buffer", "0.1"],
+            ["compare", "--batches", "-1", "--buffer", "0.1"],
+            ["serve", "--port", "0", "--batch-size", "0"],
+            ["serve", "--port", "0", "--max-queue", "0"],
+            ["serve", "--port", "0", "--timeout", "0"],
+            ["serve", "--port", "0", "--lru-entries", "0"],
+            ["serve", "--port", "0", "--lru-bytes", "0"],
         ],
     )
     def test_out_of_range_model_flag_is_a_usage_error(self, argv, capsys):

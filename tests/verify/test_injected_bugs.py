@@ -213,10 +213,11 @@ def test_matched_models_fires_on_wrong_marginal_mmpp(lossy_scenario):
 
 
 def test_matched_models_fires_on_wrong_hurst_ladder(lossy_scenario):
-    # A lying MMPP whose sojourn ladder runs 50x slow: it still reports
-    # the target Hurst parameter, but its generated correlation extends
-    # 50x beyond the declared horizon, so bursts persist across the
-    # buffer's time scale and the loss inflates past the bracket.
+    # A lying MMPP whose sojourn ladder runs 50x slow: it keeps the
+    # ladder's shape, but its generated correlation extends 50x beyond
+    # the scenario's cutoff, so bursts persist across the buffer's time
+    # scale and the loss inflates past the bracket.
+    from repro.queueing.markov import HyperexponentialFit
     from repro.traffic import MarkovModulatedSource, mmpp_rates
 
     scenario = replace(lossy_scenario, family="mmpp", normalized_buffer=1.0)
@@ -227,10 +228,10 @@ def test_matched_models_fires_on_wrong_hurst_ladder(lossy_scenario):
         honest = MarkovModulatedSource.from_source(scen.source)
         lying = MarkovModulatedSource(
             marginal=honest.marginal,
-            phase_weights=honest.phase_weights,
-            phase_rates=honest.phase_rates / 50.0,
-            target_hurst=honest.target_hurst,
-            horizon=honest.horizon,
+            interarrival=HyperexponentialFit(
+                weights=honest.interarrival.weights,
+                exit_rates=honest.interarrival.exit_rates / 50.0,
+            ),
         )
         return mmpp_rates(lying, duration, bin_width, rng)
 
