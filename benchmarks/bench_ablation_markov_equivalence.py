@@ -48,7 +48,7 @@ def test_ablation_markov_equivalence(benchmark):
         poor_model = MarkovModulatedSource(
             marginal=marginal, interarrival=poor_fit
         ).fluid_model()
-        multiscale_model = fit_multiscale_source(source, scales=6)
+        multiscale_model = fit_multiscale_source(source)
         reference, markov, exponential, multiscale = [], [], [], []
         for buffer_size in buffers:
             queue = FluidQueue(

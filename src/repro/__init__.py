@@ -38,7 +38,6 @@ from repro.core import (
     correlation_horizon_clt,
     empirical_horizon,
     expected_overflow,
-    loss_rate_from_occupancy,
     norros_horizon,
     solve_loss_rate,
     zero_buffer_loss_rate,
@@ -59,7 +58,6 @@ __all__ = [
     "LossRateResult",
     "OccupancyBounds",
     "expected_overflow",
-    "loss_rate_from_occupancy",
     "zero_buffer_loss_rate",
     "correlation_horizon",
     "correlation_horizon_clt",

@@ -1,14 +1,7 @@
-"""Statistics substrate: ACF, Hurst estimation, histogram/run-length tools."""
+"""Statistics substrate: ACF, Hurst estimation, marginal summaries."""
 
 from repro.analysis.acf import autocorrelation, autocovariance
-from repro.analysis.histogram import (
-    bin_indices,
-    coefficient_of_variation,
-    marginal_from_samples,
-    marginal_summary,
-    mean_run_length,
-    run_lengths,
-)
+from repro.analysis.histogram import coefficient_of_variation, marginal_summary
 from repro.analysis.hurst import (
     HurstEstimate,
     periodogram_hurst,
@@ -47,10 +40,6 @@ __all__ = [
     "dwt_details",
     "logscale_diagram",
     "WAVELET_FILTERS",
-    "bin_indices",
-    "run_lengths",
-    "mean_run_length",
-    "marginal_from_samples",
     "coefficient_of_variation",
     "marginal_summary",
 ]

@@ -1,63 +1,18 @@
-"""Histogram / run-length analysis of rate traces (paper Section III).
+"""Marginal summary statistics of rate traces (paper Section III).
 
-Low-level pieces behind the trace-to-model calibration: bin-index
-sequences, run lengths (how long the trace stays inside one histogram
-bin — the "epochs" whose mean calibrates theta), and summary statistics
-used when comparing marginals (Fig. 3 / Fig. 9).
+The width measures used when comparing marginals (Fig. 3 / Fig. 9).  The
+run-length calibration of theta lives in
+:meth:`~repro.traffic.trace.Trace.mean_epoch_duration`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.marginal import DiscreteMarginal
 
 __all__ = [
-    "bin_indices",
-    "run_lengths",
-    "mean_run_length",
-    "marginal_from_samples",
     "coefficient_of_variation",
     "marginal_summary",
 ]
-
-
-def bin_indices(samples: np.ndarray, bins: int = 50) -> np.ndarray:
-    """Constant-width histogram bin index of each sample (0-based).
-
-    The full sample range is split into ``bins`` equal bins; a constant
-    series maps to all zeros.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("samples must be a non-empty 1-D array")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    low, high = float(x.min()), float(x.max())
-    if high <= low:
-        return np.zeros(x.size, dtype=np.int64)
-    edges = np.linspace(low, high, bins + 1)
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1).astype(np.int64)
-
-
-def run_lengths(indices: np.ndarray) -> np.ndarray:
-    """Lengths of maximal constant runs in an integer sequence."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("indices must be a non-empty 1-D array")
-    change_points = np.nonzero(np.diff(idx) != 0)[0] + 1
-    boundaries = np.concatenate([[0], change_points, [idx.size]])
-    return np.diff(boundaries)
-
-
-def mean_run_length(samples: np.ndarray, bins: int = 50) -> float:
-    """Average number of consecutive samples in the same histogram bin."""
-    return float(run_lengths(bin_indices(samples, bins)).mean())
-
-
-def marginal_from_samples(samples: np.ndarray, bins: int = 50) -> DiscreteMarginal:
-    """The paper's histogram marginal (thin wrapper kept here for discoverability)."""
-    return DiscreteMarginal.from_samples(np.asarray(samples, dtype=np.float64), bins=bins)
 
 
 def coefficient_of_variation(marginal: DiscreteMarginal) -> float:

@@ -90,6 +90,8 @@ from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
 from repro.core.validation import check_in_open_interval, check_positive
 from repro.experiments import figures, reporting
+from repro.traffic.ethernet import BELLCORE_HURST
+from repro.traffic.video import MTV_HURST
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.exec import SolveCache, SweepEngine
@@ -746,11 +748,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "trace":
         if args.name == "mtv":
-            trace = figures.mtv_trace(args.bins)
-            hurst = 0.83
+            trace = _from_flags(figures.mtv_trace, args.bins)
+            hurst = MTV_HURST
         else:
-            trace = figures.bellcore_trace(args.bins)
-            hurst = 0.9
+            trace = _from_flags(figures.bellcore_trace, args.bins)
+            hurst = BELLCORE_HURST
         source = trace.to_source(hurst=hurst)
         values = {
             "samples": float(trace.n_bins),

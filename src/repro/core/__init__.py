@@ -18,7 +18,7 @@ from repro.core.horizon import (
     empirical_horizon,
     norros_horizon,
 )
-from repro.core.loss import expected_overflow, loss_rate_from_occupancy, zero_buffer_loss_rate
+from repro.core.loss import expected_overflow, zero_buffer_loss_rate
 from repro.core.marginal import DiscreteMarginal
 from repro.core.results import LossRateResult, OccupancyBounds
 from repro.core.solver import FluidQueue, SolverConfig, batch_loss_rates, solve_loss_rate
@@ -39,7 +39,6 @@ __all__ = [
     "LossRateResult",
     "OccupancyBounds",
     "expected_overflow",
-    "loss_rate_from_occupancy",
     "zero_buffer_loss_rate",
     "correlation_horizon",
     "correlation_horizon_clt",

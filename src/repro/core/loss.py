@@ -29,7 +29,6 @@ from repro.core.validation import check_nonnegative, check_positive
 
 __all__ = [
     "expected_overflow",
-    "loss_rate_from_occupancy",
     "zero_buffer_loss_rate",
 ]
 
@@ -85,32 +84,6 @@ def expected_overflow(
     contribution = weight * drift * bracket
     result = (theta / (alpha - 1.0)) * contribution.sum(axis=0)
     return result if np.ndim(occupancy) else float(result[0])
-
-
-def loss_rate_from_occupancy(
-    source: CutoffFluidSource,
-    service_rate: float,
-    buffer_size: float,
-    occupancy_pmf: np.ndarray,
-    occupancy_grid: np.ndarray,
-) -> float:
-    """Loss rate (Eq. 13) for a discrete occupancy law on ``occupancy_grid``.
-
-    ``l = sum_j pmf[j] * E[W_l | Q = grid[j]] / (mean_rate * E[T])`` —
-    this is exactly Eqs. 23/24 with the solver's bound pmfs plugged in.
-    """
-    occupancy_pmf = np.asarray(occupancy_pmf, dtype=np.float64)
-    occupancy_grid = np.asarray(occupancy_grid, dtype=np.float64)
-    if occupancy_pmf.shape != occupancy_grid.shape:
-        raise ValueError("occupancy_pmf and occupancy_grid must have the same shape")
-    overflow = np.asarray(
-        expected_overflow(source, service_rate, buffer_size, occupancy_grid)
-    )
-    numerator = float(occupancy_pmf @ overflow)
-    denominator = source.mean_rate * source.mean_interval
-    if denominator <= 0.0:
-        raise ValueError("source must have positive mean rate and mean interval")
-    return numerator / denominator
 
 
 def zero_buffer_loss_rate(source: CutoffFluidSource, service_rate: float) -> float:

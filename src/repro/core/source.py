@@ -253,26 +253,6 @@ class CutoffFluidSource(RenewalFluidSource):
         """Copy of this source with a different rate marginal."""
         return CutoffFluidSource(marginal=marginal, interarrival=self.interarrival)
 
-    def with_hurst(self, hurst: float, keep_theta: bool = True) -> "CutoffFluidSource":
-        """Copy with a different Hurst parameter.
-
-        With ``keep_theta=True`` (paper, Fig. 10: "we use the same theta in
-        the entire experiment") only ``alpha`` changes; otherwise theta is
-        recalibrated to preserve the current mean interval at infinity.
-        """
-        hurst = check_in_open_interval("hurst", hurst, 0.5, 1.0)
-        alpha = 3.0 - 2.0 * hurst
-        if keep_theta:
-            law = TruncatedPareto(
-                theta=self.interarrival.theta, alpha=alpha, cutoff=self.interarrival.cutoff
-            )
-        else:
-            mean_at_inf = self.interarrival.theta / (self.interarrival.alpha - 1.0)
-            law = TruncatedPareto.from_mean_interval(
-                mean_interval=mean_at_inf, alpha=alpha, cutoff=self.interarrival.cutoff
-            )
-        return CutoffFluidSource(marginal=self.marginal, interarrival=law)
-
     # ------------------------------------------------------------------ #
     # first- and second-order statistics
     # ------------------------------------------------------------------ #

@@ -16,10 +16,8 @@ __all__ = [
     "check_positive",
     "check_nonnegative",
     "check_in_open_interval",
-    "check_probability",
     "check_probability_vector",
     "check_cutoff",
-    "check_rate_vector",
     "as_float_array",
 ]
 
@@ -45,14 +43,6 @@ def check_in_open_interval(name: str, value: float, low: float, high: float) -> 
     value = float(value)
     if not (low < value < high):
         raise ValueError(f"{name} must lie in the open interval ({low}, {high}), got {value!r}")
-    return value
-
-
-def check_probability(name: str, value: float) -> float:
-    """Return ``value`` as a float, requiring ``0 <= value <= 1``."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
     return value
 
 
@@ -95,12 +85,3 @@ def check_probability_vector(name: str, values: Sequence[float] | np.ndarray) ->
         raise ValueError(f"{name} must sum to 1 (within 1e-6), got sum {total!r}")
     return array / total
 
-
-def check_rate_vector(name: str, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate a vector of fluid rates: finite, non-negative, strictly increasing."""
-    array = as_float_array(name, values)
-    if np.any(array < 0.0):
-        raise ValueError(f"{name} must contain only non-negative rates")
-    if array.size > 1 and np.any(np.diff(array) <= 0.0):
-        raise ValueError(f"{name} must be strictly increasing")
-    return array

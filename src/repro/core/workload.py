@@ -126,30 +126,6 @@ class WorkloadLaw:
         rates = self.source.marginal.sample(size, rng)
         return durations * (rates - self.service_rate)
 
-    # ------------------------------------------------------------------ #
-    # discretization (Eqs. 21-22)
-    # ------------------------------------------------------------------ #
-
-    def discretize(self, step: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper bin-mass vectors ``(w_L, w_H)`` on the grid ``step * [-bins..bins]``.
-
-        Index ``j`` of each returned length-``2*bins+1`` vector corresponds
-        to the quantized increment ``(j - bins) * step``.  Mass below
-        ``-bins*step`` is folded into the first entry and mass above
-        ``bins*step`` into the last, exactly as in Eqs. 21-22 — legitimate
-        because the queue recursion clips at 0 and B anyway.
-
-        ``w_L`` quantizes the increment *down* (floor) so the resulting
-        queue process is a stochastic lower bound; ``w_H`` quantizes *up*
-        (ceil) for the upper bound.
-
-        Solver refinement should go through :class:`DiscretizedWorkload`
-        (of which this is a thin wrapper) so bin doubling reuses the
-        already-evaluated cdf points.
-        """
-        discretized = DiscretizedWorkload.build(self, step, bins)
-        return discretized.w_lower, discretized.w_upper
-
 
 def _masses_from_cdfs(
     lower_cdf: np.ndarray, upper_cdf: np.ndarray
@@ -195,7 +171,13 @@ class DiscretizedWorkload:
     lower_cdf, upper_cdf:
         ``Pr{W < (j - bins) step}`` and ``Pr{W <= (j - bins) step}``.
     w_lower, w_upper:
-        The Eqs. 21-22 bin-mass vectors derived from the cdfs.
+        The Eqs. 21-22 bin-mass vectors derived from the cdfs.  Entry ``j``
+        is the mass of the quantized increment ``(j - bins) * step``; mass
+        beyond ``bins * step`` either way is folded into the end entries,
+        as the queue recursion clips at 0 and B anyway.  ``w_lower``
+        quantizes the increment down (floor), so its queue process is a
+        stochastic lower bound; ``w_upper`` quantizes up (ceil) for the
+        upper bound.
     """
 
     law: WorkloadLaw

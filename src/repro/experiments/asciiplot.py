@@ -1,28 +1,20 @@
-"""Dependency-free ASCII visualization of loss surfaces and series.
+"""Dependency-free ASCII visualization of loss surfaces.
 
-The paper's results are 3-D loss surfaces; without a plotting stack these
-helpers make their shape visible straight in a terminal:
-
-* :func:`heatmap` — a character-ramp rendering of a
-  :class:`~repro.experiments.sweeps.LossSurface`, one cell per grid point,
-  on a log10 color scale (loss rates span many decades);
-* :func:`lineplot` — a simple multi-series dot plot for loss-vs-parameter
-  curves (Fig. 9-style comparisons).
-
-Both are pure functions returning strings, so they compose with
+The paper's results are 3-D loss surfaces; without a plotting stack
+:func:`heatmap` makes their shape visible straight in a terminal: a
+character-ramp rendering of a :class:`~repro.experiments.sweeps.LossSurface`,
+one cell per grid point, on a log10 color scale (loss rates span many
+decades).  It is a pure function returning a string, so it composes with
 :func:`repro.experiments.reporting.write_report`.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping, Sequence
-
 import numpy as np
 
 from repro.experiments.sweeps import LossSurface
 
-__all__ = ["heatmap", "lineplot"]
+__all__ = ["heatmap"]
 
 _RAMP = " .:-=+*#%@"
 
@@ -76,68 +68,3 @@ def heatmap(
     )
     return "\n".join(lines)
 
-
-def lineplot(
-    x_values: Sequence[float] | np.ndarray,
-    series: Mapping[str, Sequence[float] | np.ndarray],
-    title: str = "",
-    height: int = 12,
-    log_y: bool = True,
-    floor: float = 1e-12,
-) -> str:
-    """Render one or more y-series as an ASCII dot plot.
-
-    Each series gets a marker character; the y-axis is log10 by default
-    (loss rates).  Zero/below-floor values are drawn on the bottom line.
-    """
-    x = np.asarray(x_values, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("x_values must be 1-D with at least two points")
-    if height < 4:
-        raise ValueError("height must be >= 4")
-    markers = "ox+*sd^v"
-    if len(series) > len(markers):
-        raise ValueError(f"at most {len(markers)} series supported")
-    columns = x.size
-    prepared: dict[str, np.ndarray] = {}
-    finite_values: list[float] = []
-    for name, raw in series.items():
-        values = np.asarray(raw, dtype=np.float64)
-        if values.shape != x.shape:
-            raise ValueError(f"series {name!r} does not match the x-axis length")
-        prepared[name] = values
-        finite_values.extend(v for v in values if v > floor)
-    if not finite_values:
-        raise ValueError("all series are zero/below the floor; nothing to plot")
-    if log_y:
-        low = math.log10(min(finite_values))
-        high = math.log10(max(finite_values))
-    else:
-        low = min(finite_values)
-        high = max(finite_values)
-    span = max(high - low, 1e-12)
-
-    grid = [[" "] * columns for _ in range(height)]
-    for marker, (name, values) in zip(markers, prepared.items()):
-        for col, value in enumerate(values):
-            if value <= floor:
-                row = height - 1
-            else:
-                level = math.log10(value) if log_y else value
-                fraction = (level - low) / span
-                row = height - 1 - int(round(fraction * (height - 1)))
-            grid[row][col] = marker
-
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    top_label = f"1e{high:+.1f}" if log_y else f"{high:g}"
-    bottom_label = f"1e{low:+.1f}" if log_y else f"{low:g}"
-    for index, row in enumerate(grid):
-        prefix = top_label if index == 0 else (bottom_label if index == height - 1 else "")
-        lines.append(f"{prefix:>8} |{' '.join(row)}|")
-    lines.append(f"{'':>8}  {'-' * (2 * columns - 1)}")
-    lines.append(f"{'':>8}  x: {x[0]:g} .. {x[-1]:g}")
-    legend = "  ".join(f"{marker}={name}" for marker, name in zip(markers, prepared))
-    lines.append(f"{'':>8}  {legend}")
-    return "\n".join(lines)

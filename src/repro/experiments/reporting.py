@@ -20,7 +20,6 @@ __all__ = [
     "format_series",
     "format_mapping",
     "write_report",
-    "surface_to_csv",
 ]
 
 
@@ -92,19 +91,6 @@ def format_mapping(values: Mapping[str, float], title: str = "") -> str:
     for key, value in values.items():
         rendered = f"{value:.6g}" if isinstance(value, (int, float)) else str(value)
         lines.append(f"  {key:<{width}} = {rendered}")
-    return "\n".join(lines)
-
-
-def surface_to_csv(surface: LossSurface) -> str:
-    """Render a loss surface as long-format CSV (one grid cell per row).
-
-    Columns: ``row_label, col_label, loss`` — the format plotting tools
-    and spreadsheets ingest directly.
-    """
-    lines = [f"{surface.row_label},{surface.col_label},loss"]
-    for row_value, row in zip(surface.rows, surface.losses):
-        for col_value, loss in zip(surface.cols, row):
-            lines.append(f"{float(row_value)!r},{float(col_value)!r},{float(loss)!r}")
     return "\n".join(lines)
 
 

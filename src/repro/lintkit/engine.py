@@ -111,12 +111,6 @@ class LintContext:
 
     files: list[SourceFile]
 
-    def file_for_module(self, module: str) -> SourceFile | None:
-        for source in self.files:
-            if source.module == module:
-                return source
-        return None
-
 
 class LintEngine:
     """Runs a rule set over a file set and returns surviving findings."""

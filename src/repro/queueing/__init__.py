@@ -7,7 +7,6 @@ from repro.queueing.cts import (
 )
 from repro.queueing.fluid_sim import (
     TraceQueueResult,
-    inter_reset_times,
     simulate_source_queue,
     simulate_trace_queue,
     simulate_trace_queue_multi,
@@ -16,7 +15,6 @@ from repro.queueing.markov import (
     HyperexponentialFit,
     fit_hyperexponential,
     fit_multiscale_source,
-    multiscale_onoff_model,
 )
 from repro.queueing.dimensioning import (
     MultiplexingGain,
@@ -24,15 +22,9 @@ from repro.queueing.dimensioning import (
     required_buffer,
     required_service_rate,
 )
-from repro.queueing.fbm import (
-    fbm_parameters_from_source,
-    norros_overflow_probability,
-    weibull_tail_exponent,
-)
 from repro.queueing.mmfq import (
     MarkovFluidModel,
     mmfq_loss_rate,
-    mmfq_occupancy_cdf,
     mmfq_overflow_probability,
 )
 
@@ -41,21 +33,15 @@ __all__ = [
     "required_buffer",
     "multiplexing_gain",
     "MultiplexingGain",
-    "norros_overflow_probability",
-    "weibull_tail_exponent",
-    "fbm_parameters_from_source",
     "mmfq_overflow_probability",
     "TraceQueueResult",
     "simulate_trace_queue",
     "simulate_trace_queue_multi",
     "simulate_source_queue",
-    "inter_reset_times",
     "MarkovFluidModel",
     "mmfq_loss_rate",
-    "mmfq_occupancy_cdf",
     "HyperexponentialFit",
     "fit_hyperexponential",
-    "multiscale_onoff_model",
     "fit_multiscale_source",
     "DominantTimeScale",
     "dominant_time_scale",

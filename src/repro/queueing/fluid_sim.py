@@ -16,10 +16,6 @@ as lost work:
   ``Q(n+1) = max(0, min(B, Q(n) + W(n)))`` (Eq. 9).  This is the ground
   truth the bounded convolution solver is validated against in the
   integration tests.
-
-:func:`inter_reset_times` keeps a walk of its own: it counts a reset on
-reaching either boundary, ``Q >= B`` included, where the walk counts
-overflow only at ``Q > B``.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ __all__ = [
     "simulate_trace_queue",
     "simulate_trace_queue_multi",
     "simulate_source_queue",
-    "inter_reset_times",
 ]
 
 
@@ -159,56 +154,6 @@ def simulate_trace_queue_multi(
         for buffer_size in buffers.tolist()
     ]
     return np.asarray(lost, dtype=np.float64) / arrived
-
-
-def inter_reset_times(
-    rates: np.ndarray,
-    bin_width: float,
-    service_rate: float,
-    buffer_size: float,
-) -> np.ndarray:
-    """Times between buffer *resets* (emptying or filling) along a trace.
-
-    The correlation-horizon argument (paper Section IV) rests on the
-    resetting effect: "the buffer 'forgets' about the past as soon as it
-    is either empty or full", and Eq. 26 estimates the horizon as the
-    interval over which a reset happens with high probability.  This
-    function measures those intervals directly: it runs the trace through
-    the queue and returns the durations (seconds) between consecutive
-    reset events (entering the empty or the full state).
-
-    An empty return means the queue never reset more than once over the
-    trace — the buffer is so large (or the trace so short) that the
-    horizon exceeds the observation window.
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.ndim != 1 or rates.size == 0:
-        raise ValueError("rates must be a non-empty 1-D array")
-    bin_width = check_positive("bin_width", bin_width)
-    service_rate = check_positive("service_rate", service_rate)
-    buffer_size = check_positive("buffer_size", buffer_size)
-
-    increments = (rates - service_rate) * bin_width
-    occupancy = 0.5 * buffer_size  # start mid-buffer: no spurious reset at t=0
-    reset_bins: list[int] = []
-    was_boundary = False
-    for index, increment in enumerate(increments):
-        occupancy += increment
-        at_boundary = False
-        if occupancy >= buffer_size:
-            occupancy = buffer_size
-            at_boundary = True
-        elif occupancy <= 0.0:
-            occupancy = 0.0
-            at_boundary = True
-        # Count only *entries* into a boundary, not every bin spent there:
-        # consecutive full bins are one reset event.
-        if at_boundary and not was_boundary:
-            reset_bins.append(index)
-        was_boundary = at_boundary
-    if len(reset_bins) < 2:
-        return np.empty(0)
-    return np.diff(np.asarray(reset_bins, dtype=np.float64)) * bin_width
 
 
 def simulate_source_queue(

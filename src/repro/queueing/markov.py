@@ -13,12 +13,11 @@ module builds those comparators:
   its ``fluid_model()`` is the honest CTMC on ``(rate level, phase)``
   states whose rate autocovariance ``sigma^2 * sum_m p_m exp(-nu_m t)``
   is the exponential-mixture approximation of the model's Eq. 8;
-* :func:`multiscale_onoff_model` — a Robert-Le Boudec-style multi-time-
-  scale source: the Kronecker sum of J independent two-state chains with
-  geometrically spaced time constants, whose covariance is a sum of J
-  exponentials spanning the chosen range of scales (a pseudo power law);
-  :func:`fit_multiscale_source` fits its per-scale variances to a cutoff
-  fluid source.
+* :func:`fit_multiscale_source` — a Robert-Le Boudec-style multi-time-
+  scale fit of a cutoff fluid source: the Kronecker sum of independent
+  two-state chains with geometrically spaced time constants, whose
+  covariance is a sum of exponentials spanning the source's range of
+  scales (a pseudo power law), with per-scale variances fitted to Eq. 8.
 
 Both fits reach up to the same longest time scale, :func:`_top_scale`.
 """
@@ -34,18 +33,19 @@ from scipy.optimize import nnls
 
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
-from repro.core.validation import check_in_open_interval, check_positive
 from repro.queueing.mmfq import MarkovFluidModel
 
 __all__ = [
     "HyperexponentialFit",
     "fit_hyperexponential",
-    "multiscale_onoff_model",
     "fit_multiscale_source",
 ]
 
 _SAMPLES_PER_PHASE = 24
 """Density of the ccdf grid the hyperexponential least-squares fit samples."""
+
+_SCALES = 6
+"""Candidate time scales (two-state chains) of a multiscale fit: at most ``2**6`` states."""
 
 
 def _top_scale(law: TruncatedPareto) -> float:
@@ -179,23 +179,19 @@ def fit_hyperexponential(law: TruncatedPareto, phases: int = 8) -> Hyperexponent
     return HyperexponentialFit(weights=weights[order], exit_rates=rates[order])
 
 
-def fit_multiscale_source(
-    source: CutoffFluidSource,
-    scales: int = 6,
-    on_probability: float | None = None,
-) -> MarkovFluidModel:
+def fit_multiscale_source(source: CutoffFluidSource) -> MarkovFluidModel:
     """Robert-Le Boudec-style multiscale Markov fit of a cutoff fluid source.
 
-    Builds ``scales`` independent two-state chains with geometrically
-    spaced time constants spanning ``[theta, T_c]`` and solves a
-    non-negative least-squares problem for the per-scale variances so the
+    Builds independent two-state chains with geometrically spaced time
+    constants spanning ``[theta, T_c]`` and solves a non-negative
+    least-squares problem for the per-scale variances so the
     superposition's covariance — a sum of ``exp(-t / tau_j)`` terms —
     matches the source's Eq. 8 covariance on a log grid of lags.  A
     constant base rate matches the mean exactly.
 
-    ``on_probability`` defaults to the largest value that can carry the
-    fitted variance within the source's mean rate (burstier sources force
-    smaller ON probabilities); pass a value to override.
+    The shared ON probability is the largest that carries the fitted
+    variance within the source's mean rate (burstier sources force
+    smaller ON probabilities).
 
     This is the second Markov comparator of Section IV: a parsimonious
     multi-time-scale model (one parameter per scale) rather than the
@@ -204,14 +200,11 @@ def fit_multiscale_source(
     """
     if not isinstance(source, CutoffFluidSource):
         raise TypeError("source must be a CutoffFluidSource")
-    _check_scales(scales)
-    if on_probability is not None:
-        check_in_open_interval("on_probability", on_probability, 0.0, 1.0)
     law = source.interarrival
     top = _top_scale(law)
-    taus = np.logspace(math.log10(law.theta), math.log10(top), scales)
+    taus = np.logspace(math.log10(law.theta), math.log10(top), _SCALES)
 
-    lags = np.logspace(math.log10(law.theta / 4.0), math.log10(top), 16 * scales)
+    lags = np.logspace(math.log10(law.theta / 4.0), math.log10(top), 16 * _SCALES)
     target = np.asarray(source.autocovariance(lags))
     keep = target > 1e-14 * source.rate_variance
     lags, target = lags[keep], target[keep]
@@ -219,12 +212,12 @@ def fit_multiscale_source(
     response = np.ones(lags.size)
     # Pin the total variance so phi(0) is matched.
     pin = 10.0 * math.sqrt(lags.size)
-    design = np.vstack([design, (pin / source.rate_variance) * np.ones((1, scales))])
+    design = np.vstack([design, (pin / source.rate_variance) * np.ones((1, _SCALES))])
     response = np.concatenate([response, [pin]])
     variances, _ = nnls(design, response)
     positive = variances > 1e-12 * source.rate_variance
     if not np.any(positive):
-        raise ValueError("multiscale covariance fit failed; increase scales")
+        raise ValueError("multiscale covariance fit failed")
     taus = taus[positive]
     variances = variances[positive]
 
@@ -234,55 +227,18 @@ def fit_multiscale_source(
     root_sum = float(np.sqrt(variances).sum())
     odds_ceiling = (source.mean_rate / root_sum) ** 2 if root_sum > 0.0 else 1.0
     feasible_p = 0.98 * odds_ceiling / (1.0 + 0.98 * odds_ceiling)
-    p = min(on_probability, feasible_p) if on_probability is not None else feasible_p
-    p = min(max(p, 1e-4), 1.0 - 1e-4)
+    p = min(max(feasible_p, 1e-4), 1.0 - 1e-4)
     peaks = np.sqrt(variances / (p * (1.0 - p)))
     mean_from_chains = float(p * peaks.sum())
     base_rate = source.mean_rate - mean_from_chains
     if base_rate < 0.0:
-        # Only reachable with an explicit, infeasible on_probability: shrink
-        # all peaks to fit (trading covariance amplitude for a valid mean).
+        # Reached when p is raised to its 1e-4 floor (coefficient of variation
+        # near 100 or above): shrink all peaks to fit, trading covariance
+        # amplitude for a valid mean.
         shrink = source.mean_rate / mean_from_chains
         peaks = peaks * shrink
         base_rate = 0.0
     return _superpose_onoff_chains(taus, peaks, p, base_rate)
-
-
-def multiscale_onoff_model(
-    scales: int,
-    fastest_time: float,
-    scale_factor: float = 4.0,
-    peak_rate_per_scale: float = 1.0,
-    on_probability: float = 0.5,
-) -> MarkovFluidModel:
-    """Superposition of two-state chains with geometrically spaced time constants.
-
-    Chain j flips with time constant ``fastest_time * scale_factor**j`` and
-    contributes ``peak_rate_per_scale`` while ON.  The aggregate rate
-    autocovariance is a sum of ``scales`` exponentials whose time constants
-    span ``scale_factor**(scales-1)`` — the classic pseudo-power-law
-    construction of multi-time-scale Markov traffic models [30].
-
-    Returns a model with ``2**scales`` states (keep ``scales <= 10``).
-    """
-    _check_scales(scales)
-    check_positive("fastest_time", fastest_time)
-    check_positive("scale_factor", scale_factor)
-    check_positive("peak_rate_per_scale", peak_rate_per_scale)
-    check_in_open_interval("on_probability", on_probability, 0.0, 1.0)
-    return _superpose_onoff_chains(
-        [fastest_time * scale_factor**j for j in range(scales)],
-        [peak_rate_per_scale] * scales,
-        on_probability,
-        0.0,
-    )
-
-
-def _check_scales(scales: int) -> None:
-    if scales < 1:
-        raise ValueError(f"scales must be >= 1, got {scales}")
-    if scales > 12:
-        raise ValueError("scales > 12 would create a >4096-state model; refuse")
 
 
 def _superpose_onoff_chains(

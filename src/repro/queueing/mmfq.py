@@ -31,7 +31,6 @@ from repro.core.validation import check_nonnegative, check_positive
 __all__ = [
     "MarkovFluidModel",
     "mmfq_loss_rate",
-    "mmfq_occupancy_cdf",
     "mmfq_overflow_probability",
 ]
 
@@ -170,26 +169,6 @@ def mmfq_loss_rate(
     if mean_rate <= 0.0:
         raise ValueError("model mean rate must be positive")
     return max(0.0, lost / mean_rate)
-
-
-def mmfq_occupancy_cdf(
-    model: MarkovFluidModel,
-    service_rate: float,
-    buffer_size: float,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Marginal occupancy cdf ``Pr{Q <= x}`` at the given points."""
-    points = np.asarray(points, dtype=np.float64)
-    if np.any((points < 0.0) | (points > buffer_size)):
-        raise ValueError("points must lie in [0, buffer_size]")
-    coefficients, eigenvalues, vectors, _, _ = _spectral_solution(
-        model, service_rate, buffer_size
-    )
-    cdf = np.empty(points.size)
-    for index, x in enumerate(points):
-        f = _evaluate(coefficients, eigenvalues, vectors, x, buffer_size)
-        cdf[index] = float(f.sum())
-    return np.clip(cdf, 0.0, 1.0)
 
 
 def mmfq_overflow_probability(

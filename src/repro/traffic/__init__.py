@@ -11,18 +11,16 @@ from repro.traffic.farima import (
     d_from_hurst,
     farima_autocovariance,
     generate_farima,
-    hurst_from_d,
 )
 from repro.traffic.fgn import (
     fgn_autocovariance,
-    generate_fbm,
     generate_fgn,
     sample_stationary_gaussian,
 )
-from repro.traffic.mginf import mginf_mean_rate, mginf_rates
+from repro.traffic.mginf import mginf_rates
 from repro.traffic.mmpp import MarkovModulatedSource, mmpp_rates
 from repro.traffic.onoff import OnOffSource, aggregate_onoff_rates
-from repro.traffic.shuffle import external_shuffle, internal_shuffle, shuffle_trace
+from repro.traffic.shuffle import external_shuffle, shuffle_trace
 from repro.traffic.spurious import (
     ar1_process,
     dirac_pulse_process,
@@ -40,21 +38,17 @@ from repro.traffic.video import (
 __all__ = [
     "Trace",
     "generate_fgn",
-    "generate_fbm",
     "fgn_autocovariance",
     "sample_stationary_gaussian",
     "generate_farima",
     "farima_autocovariance",
-    "hurst_from_d",
     "d_from_hurst",
     "OnOffSource",
     "aggregate_onoff_rates",
     "mginf_rates",
-    "mginf_mean_rate",
     "MarkovModulatedSource",
     "mmpp_rates",
     "external_shuffle",
-    "internal_shuffle",
     "shuffle_trace",
     "ar1_process",
     "level_shift_process",

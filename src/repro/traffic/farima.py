@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.validation import check_in_open_interval, check_positive
 from repro.traffic.fgn import sample_stationary_gaussian
 
-__all__ = ["farima_autocovariance", "generate_farima", "hurst_from_d", "d_from_hurst"]
+__all__ = ["farima_autocovariance", "generate_farima", "d_from_hurst"]
 
 
 def farima_autocovariance(d: float, lags: int, innovation_variance: float = 1.0) -> np.ndarray:
@@ -56,12 +56,6 @@ def generate_farima(
     gamma = farima_autocovariance(d, length)
     path = sample_stationary_gaussian(gamma, rng)
     return mean + std * path / math.sqrt(gamma[0])
-
-
-def hurst_from_d(d: float) -> float:
-    """Hurst parameter of FARIMA(0, d, 0): ``H = d + 1/2``."""
-    check_in_open_interval("d", d, -0.5, 0.5)
-    return d + 0.5
 
 
 def d_from_hurst(hurst: float) -> float:

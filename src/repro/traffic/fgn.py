@@ -24,7 +24,6 @@ __all__ = [
     "fgn_autocovariance",
     "sample_stationary_gaussian",
     "generate_fgn",
-    "generate_fbm",
 ]
 
 
@@ -108,7 +107,3 @@ def generate_fgn(
     gamma = fgn_autocovariance(hurst, length)
     return mean + std * sample_stationary_gaussian(gamma, rng)
 
-
-def generate_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Fractional Brownian motion path (cumulative fGn, B(0) = 0 excluded)."""
-    return np.cumsum(generate_fgn(length, hurst, rng))

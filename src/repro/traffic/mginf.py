@@ -21,13 +21,7 @@ from repro.core.truncated_pareto import TruncatedPareto
 from repro.core.validation import check_positive
 from repro.traffic._intervals import binned_busy_time
 
-__all__ = ["mginf_rates", "mginf_mean_rate"]
-
-
-def mginf_mean_rate(arrival_rate: float, duration_law: TruncatedPareto) -> float:
-    """Stationary mean number of active sessions (Little: ``lambda E[D]``)."""
-    check_positive("arrival_rate", arrival_rate)
-    return arrival_rate * duration_law.mean
+__all__ = ["mginf_rates"]
 
 
 def mginf_rates(

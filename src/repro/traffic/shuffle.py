@@ -1,4 +1,4 @@
-"""External and internal block shuffling of traces (paper Fig. 6, Section III).
+"""External block shuffling of traces (paper Fig. 6, Section III).
 
 *External* shuffling divides a series into blocks of equal length and
 permutes the blocks uniformly at random while leaving the content of each
@@ -6,11 +6,6 @@ block untouched.  Correlation at lags shorter than a block survives;
 correlation beyond the block length is destroyed — exactly the effect of
 the model's cutoff lag ``T_c``, which is why the paper validates the model
 against shuffled-trace simulations (Figs. 7, 8, 14).
-
-*Internal* shuffling (Erramilli et al. [12]) is the dual: it permutes the
-samples *within* each block while keeping the block order, destroying
-short-lag correlation and keeping the long-lag structure.  Provided for
-completeness and for the decorrelation demonstration benchmark.
 """
 
 from __future__ import annotations
@@ -19,14 +14,7 @@ import numpy as np
 
 from repro.traffic.trace import Trace
 
-__all__ = ["external_shuffle", "internal_shuffle", "shuffle_trace"]
-
-
-def _blocks(values: np.ndarray, block_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split into (full blocks reshaped, remainder)."""
-    n_full = values.size // block_length
-    split = n_full * block_length
-    return values[:split].reshape(n_full, block_length), values[split:]
+__all__ = ["external_shuffle", "shuffle_trace"]
 
 
 def external_shuffle(
@@ -42,27 +30,11 @@ def external_shuffle(
         raise ValueError(f"block_length must be >= 1, got {block_length}")
     if block_length >= values.size:
         return values.copy()
-    full, remainder = _blocks(values, block_length)
-    order = rng.permutation(full.shape[0])
-    return np.concatenate([full[order].ravel(), remainder])
-
-
-def internal_shuffle(
-    values: np.ndarray, block_length: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Shuffle samples *within* each block, preserving the block order."""
-    values = np.asarray(values)
-    if block_length < 1:
-        raise ValueError(f"block_length must be >= 1, got {block_length}")
-    if block_length == 1:
-        return values.copy()
-    full, remainder = _blocks(values, block_length)
-    shuffled = full.copy()
-    for row in shuffled:  # independent permutation per block
-        rng.shuffle(row)
-    tail = remainder.copy()
-    rng.shuffle(tail)
-    return np.concatenate([shuffled.ravel(), tail])
+    n_full = values.size // block_length
+    split = n_full * block_length
+    full = values[:split].reshape(n_full, block_length)
+    order = rng.permutation(n_full)
+    return np.concatenate([full[order].ravel(), values[split:]])
 
 
 def shuffle_trace(trace: Trace, cutoff_lag: float, rng: np.random.Generator) -> Trace:

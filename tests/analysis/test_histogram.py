@@ -1,68 +1,14 @@
-"""Tests for histogram / run-length analysis."""
+"""Tests for the marginal summary statistics."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis.histogram import (
-    bin_indices,
-    coefficient_of_variation,
-    marginal_from_samples,
-    marginal_summary,
-    mean_run_length,
-    run_lengths,
-)
+from repro.analysis.histogram import coefficient_of_variation, marginal_summary
 from repro.core.marginal import DiscreteMarginal
 
 
-class TestBinIndices:
-    def test_two_bins(self):
-        idx = bin_indices(np.array([0.0, 0.4, 0.6, 1.0]), bins=2)
-        np.testing.assert_array_equal(idx, [0, 0, 1, 1])
-
-    def test_constant_series(self):
-        idx = bin_indices(np.full(5, 3.0), bins=10)
-        np.testing.assert_array_equal(idx, np.zeros(5, dtype=np.int64))
-
-    def test_max_value_in_last_bin(self):
-        idx = bin_indices(np.array([0.0, 1.0]), bins=4)
-        assert idx[-1] == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            bin_indices(np.array([]))
-        with pytest.raises(ValueError, match="bins"):
-            bin_indices(np.array([1.0]), bins=0)
-
-
-class TestRunLengths:
-    def test_basic(self):
-        runs = run_lengths(np.array([1, 1, 2, 2, 2, 1]))
-        np.testing.assert_array_equal(runs, [2, 3, 1])
-
-    def test_single_run(self):
-        np.testing.assert_array_equal(run_lengths(np.zeros(7, dtype=int)), [7])
-
-    def test_all_distinct(self):
-        np.testing.assert_array_equal(run_lengths(np.arange(5)), np.ones(5, dtype=int))
-
-    def test_lengths_sum_to_total(self, rng):
-        idx = rng.integers(0, 3, size=200)
-        assert run_lengths(idx).sum() == 200
-
-    def test_mean_run_length(self):
-        samples = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        assert mean_run_length(samples, bins=2) == pytest.approx(3.0)
-
-
 class TestMarginalHelpers:
-    def test_marginal_from_samples_matches_class(self, rng):
-        samples = rng.gamma(4.0, 1.0, 5000)
-        a = marginal_from_samples(samples, bins=20)
-        b = DiscreteMarginal.from_samples(samples, bins=20)
-        np.testing.assert_allclose(a.rates, b.rates)
-
     def test_coefficient_of_variation(self):
         marginal = DiscreteMarginal(rates=[0.0, 2.0], probs=[0.5, 0.5])
         assert coefficient_of_variation(marginal) == pytest.approx(1.0)

@@ -6,11 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.loss import (
-    expected_overflow,
-    loss_rate_from_occupancy,
-    zero_buffer_loss_rate,
-)
+from repro.core.loss import expected_overflow, zero_buffer_loss_rate
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 
@@ -86,23 +82,6 @@ class TestExpectedOverflow:
 
 
 class TestLossRateAssembly:
-    def test_loss_rate_from_degenerate_occupancy(self, small_source):
-        # All mass at the full buffer: loss = E[W^+] / (mean_rate E[T]).
-        grid = np.array([0.0, 1.0])
-        pmf = np.array([0.0, 1.0])
-        loss = loss_rate_from_occupancy(small_source, 1.25, 1.0, pmf, grid)
-        per_interval = float(
-            expected_overflow(small_source, service_rate=1.25, buffer_size=1.0, occupancy=1.0)
-        )
-        expected = per_interval / (small_source.mean_rate * small_source.mean_interval)
-        assert loss == pytest.approx(expected)
-
-    def test_mismatched_shapes_rejected(self, small_source):
-        with pytest.raises(ValueError, match="shape"):
-            loss_rate_from_occupancy(
-                small_source, 1.25, 1.0, np.array([1.0]), np.array([0.0, 1.0])
-            )
-
     def test_zero_buffer_closed_form(self, small_source):
         # l = E[(lambda - c)^+] / mean_rate.
         loss = zero_buffer_loss_rate(small_source, service_rate=1.25)

@@ -84,19 +84,6 @@ class TestConstructionAndRebinding:
         assert changed.mean_rate == pytest.approx(three_level_marginal.mean)
         assert changed.interarrival is small_source.interarrival
 
-    def test_with_hurst_keep_theta(self, small_source):
-        changed = small_source.with_hurst(0.9, keep_theta=True)
-        assert changed.hurst == pytest.approx(0.9)
-        assert changed.interarrival.theta == small_source.interarrival.theta
-
-    def test_with_hurst_recalibrated(self, small_source):
-        original_mean_at_inf = small_source.interarrival.theta / (
-            small_source.interarrival.alpha - 1.0
-        )
-        changed = small_source.with_hurst(0.9, keep_theta=False)
-        new_mean_at_inf = changed.interarrival.theta / (changed.interarrival.alpha - 1.0)
-        assert new_mean_at_inf == pytest.approx(original_mean_at_inf)
-
 
 class TestSampling:
     def test_sample_path_shapes(self, small_source, rng):

@@ -13,9 +13,7 @@ from repro.core.validation import (
     check_in_open_interval,
     check_nonnegative,
     check_positive,
-    check_probability,
     check_probability_vector,
-    check_rate_vector,
 )
 
 
@@ -36,12 +34,6 @@ class TestScalars:
         for bad in (0.0, 1.0, -1.0, 2.0):
             with pytest.raises(ValueError, match="x"):
                 check_in_open_interval("x", bad, 0.0, 1.0)
-
-    def test_check_probability(self):
-        assert check_probability("p", 0.0) == 0.0
-        assert check_probability("p", 1.0) == 1.0
-        with pytest.raises(ValueError, match="p"):
-            check_probability("p", 1.1)
 
     def test_check_cutoff_accepts_infinity(self):
         assert check_cutoff("c", math.inf) == math.inf
@@ -71,10 +63,3 @@ class TestArrays:
         with pytest.raises(ValueError, match="sum to 1"):
             check_probability_vector("p", [0.3, 0.3])
 
-    def test_check_rate_vector(self):
-        out = check_rate_vector("r", [0.0, 1.0, 2.0])
-        assert out.size == 3
-        with pytest.raises(ValueError, match="increasing"):
-            check_rate_vector("r", [1.0, 1.0])
-        with pytest.raises(ValueError, match="non-negative"):
-            check_rate_vector("r", [-1.0, 1.0])

@@ -105,58 +105,62 @@ class TestExactCdf:
 
 
 class TestDiscretization:
+    """Eqs. 21-22 through :meth:`DiscretizedWorkload.build`."""
+
     def test_masses_sum_to_one(self, workload):
-        w_lower, w_upper = workload.discretize(step=0.05, bins=64)
-        assert w_lower.sum() == pytest.approx(1.0, abs=1e-9)
-        assert w_upper.sum() == pytest.approx(1.0, abs=1e-9)
+        discretized = DiscretizedWorkload.build(workload, step=0.05, bins=64)
+        assert discretized.w_lower.sum() == pytest.approx(1.0, abs=1e-9)
+        assert discretized.w_upper.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_lengths(self, workload):
-        w_lower, w_upper = workload.discretize(step=0.1, bins=32)
-        assert w_lower.shape == (65,)
-        assert w_upper.shape == (65,)
+        discretized = DiscretizedWorkload.build(workload, step=0.1, bins=32)
+        assert discretized.w_lower.shape == (65,)
+        assert discretized.w_upper.shape == (65,)
+        assert (discretized.step, discretized.bins) == (0.1, 32)
+        assert discretized.law is workload
 
     def test_interior_masses_match_cdf_differences(self, workload):
         step, bins = 0.07, 40
-        w_lower, w_upper = workload.discretize(step=step, bins=bins)
+        discretized = DiscretizedWorkload.build(workload, step=step, bins=bins)
         j = bins + 3  # interior index, increment value 3 * step
         value = (j - bins) * step
         expected_lower = float(workload.cdf_left(value + step)) - float(
             workload.cdf_left(value)
         )
         expected_upper = float(workload.cdf(value)) - float(workload.cdf(value - step))
-        assert w_lower[j] == pytest.approx(expected_lower, abs=1e-12)
-        assert w_upper[j] == pytest.approx(expected_upper, abs=1e-12)
+        assert discretized.w_lower[j] == pytest.approx(expected_lower, abs=1e-12)
+        assert discretized.w_upper[j] == pytest.approx(expected_upper, abs=1e-12)
 
     def test_quantized_means_bracket_true_mean(self, workload):
         # floor-quantization underestimates W, ceil overestimates.
         step, bins = 0.02, 256
-        w_lower, w_upper = workload.discretize(step=step, bins=bins)
+        discretized = DiscretizedWorkload.build(workload, step=step, bins=bins)
         grid = (np.arange(2 * bins + 1) - bins) * step
-        mean_lower = float(w_lower @ grid)
-        mean_upper = float(w_upper @ grid)
+        mean_lower = float(discretized.w_lower @ grid)
+        mean_upper = float(discretized.w_upper @ grid)
         # Tail aggregation perturbs the raw means, but the ordering of the
         # quantization (up vs down) must hold.
         assert mean_lower <= mean_upper
 
     def test_stochastic_ordering_of_discretizations(self, workload):
         # ccdf of w_upper dominates ccdf of w_lower at every grid point.
-        w_lower, w_upper = workload.discretize(step=0.05, bins=64)
-        tail_lower = np.cumsum(w_lower[::-1])[::-1]
-        tail_upper = np.cumsum(w_upper[::-1])[::-1]
+        discretized = DiscretizedWorkload.build(workload, step=0.05, bins=64)
+        tail_lower = np.cumsum(discretized.w_lower[::-1])[::-1]
+        tail_upper = np.cumsum(discretized.w_upper[::-1])[::-1]
         assert np.all(tail_upper >= tail_lower - 1e-9)
 
     def test_rejects_bad_arguments(self, workload):
         with pytest.raises(ValueError, match="step"):
-            workload.discretize(step=0.0, bins=16)
+            DiscretizedWorkload.build(workload, step=0.0, bins=16)
         with pytest.raises(ValueError, match="bins"):
-            workload.discretize(step=0.1, bins=0)
+            DiscretizedWorkload.build(workload, step=0.1, bins=0)
 
     def test_refinement_conserves_mass_locally(self, workload):
         # Halving the step: each coarse lower-bin mass equals the sum of the
         # two fine bins covering it (up to tail handling at the ends).
         step, bins = 0.1, 20
-        coarse_lower, _ = workload.discretize(step=step, bins=bins)
-        fine_lower, _ = workload.discretize(step=step / 2, bins=2 * bins)
+        coarse_lower = DiscretizedWorkload.build(workload, step=step, bins=bins).w_lower
+        fine_lower = DiscretizedWorkload.build(workload, step=step / 2, bins=2 * bins).w_lower
         j = bins + 4  # coarse interior index
         fine_j = 2 * bins + 8  # same increment value on the fine grid
         combined = fine_lower[fine_j] + fine_lower[fine_j + 1]
@@ -165,15 +169,6 @@ class TestDiscretization:
 
 class TestDiscretizedWorkload:
     """The cached-cdf discretization object behind grid refinement."""
-
-    def test_build_matches_discretize(self, workload):
-        discretized = DiscretizedWorkload.build(workload, step=0.05, bins=64)
-        w_lower, w_upper = workload.discretize(step=0.05, bins=64)
-        np.testing.assert_array_equal(discretized.w_lower, w_lower)
-        np.testing.assert_array_equal(discretized.w_upper, w_upper)
-        assert discretized.bins == 64
-        assert discretized.step == 0.05
-        assert discretized.law is workload
 
     def test_refined_is_bit_identical_to_rebuild(self, workload):
         # Halving a float step is exact, so refined grid points coincide

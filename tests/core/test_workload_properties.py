@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
-from repro.core.workload import WorkloadLaw
+from repro.core.workload import DiscretizedWorkload, WorkloadLaw
 
 
 @st.composite
@@ -70,18 +70,18 @@ class TestWorkloadCdfProperties:
     @given(workload_laws())
     @settings(max_examples=30, deadline=None)
     def test_discretized_masses_sum_to_one(self, law):
-        w_lower, w_upper = law.discretize(step=0.13, bins=24)
-        assert w_lower.sum() == pytest.approx(1.0, abs=1e-9)
-        assert w_upper.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(w_lower >= 0.0)
-        assert np.all(w_upper >= 0.0)
+        discretized = DiscretizedWorkload.build(law, step=0.13, bins=24)
+        assert discretized.w_lower.sum() == pytest.approx(1.0, abs=1e-9)
+        assert discretized.w_upper.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(discretized.w_lower >= 0.0)
+        assert np.all(discretized.w_upper >= 0.0)
 
     @given(workload_laws())
     @settings(max_examples=30, deadline=None)
     def test_upper_stochastically_dominates_lower(self, law):
-        w_lower, w_upper = law.discretize(step=0.21, bins=16)
-        tail_lower = np.cumsum(w_lower[::-1])[::-1]
-        tail_upper = np.cumsum(w_upper[::-1])[::-1]
+        discretized = DiscretizedWorkload.build(law, step=0.21, bins=16)
+        tail_lower = np.cumsum(discretized.w_lower[::-1])[::-1]
+        tail_upper = np.cumsum(discretized.w_upper[::-1])[::-1]
         assert np.all(tail_upper >= tail_lower - 1e-9)
 
     @given(workload_laws())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.asciiplot import heatmap, lineplot
+from repro.experiments.asciiplot import heatmap
 from repro.experiments.sweeps import LossSurface
 
 
@@ -46,32 +46,6 @@ class TestHeatmap:
         first, second = bottom[0], bottom[2]
         assert ramp.index(second) >= ramp.index(first)
 
-
-class TestLineplot:
-    def test_renders_markers_and_legend(self):
-        x = np.array([1.0, 2.0, 4.0, 8.0])
-        text = lineplot(x, {"a": [1e-4, 1e-3, 1e-2, 1e-1], "b": [1e-2] * 4}, title="t")
-        assert "o=a" in text and "x=b" in text
-        assert text.count("o") >= 4
-
-    def test_monotone_series_rises(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        text = lineplot(x, {"s": [1e-6, 1e-4, 1e-2, 1.0]}, height=8)
-        rows = [line for line in text.splitlines() if "|" in line]
-        # First column marker near the bottom, last column near the top.
-        first_col_rows = [i for i, line in enumerate(rows) if line.split("|")[1][0] == "o"]
-        last_col_rows = [
-            i for i, line in enumerate(rows) if line.split("|")[1].rstrip().endswith("o")
-        ]
-        assert min(first_col_rows) > min(last_col_rows)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="x_values"):
-            lineplot(np.array([1.0]), {"a": [1.0]})
-        with pytest.raises(ValueError, match="match"):
-            lineplot(np.array([1.0, 2.0]), {"a": [1.0]})
-        with pytest.raises(ValueError, match="nothing to plot"):
-            lineplot(np.array([1.0, 2.0]), {"a": [0.0, 0.0]})
 
 
 class TestRunner:

@@ -66,18 +66,6 @@ class TestFormatMapping:
         assert lines[0].index("=") == lines[1].index("=")
 
 
-class TestSurfaceToCsv:
-    def test_long_format(self, surface):
-        from repro.experiments.reporting import surface_to_csv
-
-        csv = surface_to_csv(surface)
-        lines = csv.splitlines()
-        assert lines[0] == "buffer_s,cutoff_s,loss"
-        assert len(lines) == 1 + surface.rows.size * surface.cols.size
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.1
-        assert float(first[2]) == pytest.approx(1e-2)
-
 
 class TestWriteReport:
     def test_roundtrip(self, tmp_path):

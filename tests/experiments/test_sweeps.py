@@ -195,23 +195,25 @@ class TestCutoffSweep:
 
 class TestMarginalSweeps:
     def test_hurst_scaling_grid(self, three_level_marginal):
-        surface = run_plan(
-            plan_hurst_scaling(
-                marginal=three_level_marginal,
-                mean_interval=0.05,
-                utilization=0.8,
-                normalized_buffer=0.2,
-                hursts=np.array([0.6, 0.9]),
-                scalings=np.array([0.5, 1.0]),
-                cutoff=5.0,
-                config=FAST,
-            )
+        plan = plan_hurst_scaling(
+            marginal=three_level_marginal,
+            mean_interval=0.05,
+            utilization=0.8,
+            normalized_buffer=0.2,
+            hursts=np.array([0.6, 0.9]),
+            scalings=np.array([0.5, 1.0]),
+            cutoff=5.0,
+            config=FAST,
         )
+        surface = run_plan(plan)
         assert surface.losses.shape == (2, 2)
         # Narrower marginal -> lower loss, at both Hurst values.
         assert np.all(surface.losses[:, 0] <= surface.losses[:, 1] + 1e-12)
-        # Theta is fixed at the nominal-H calibration.
+        # Theta is fixed at the nominal-H calibration; only alpha follows H.
         assert surface.meta["theta"] > 0.0
+        for index, task in enumerate(plan.tasks):
+            assert task.source.interarrival.theta == surface.meta["theta"]
+            assert task.source.hurst == pytest.approx(plan.rows[index // 2])
 
     def test_hurst_superposition_grid(self, three_level_marginal):
         surface = run_plan(

@@ -9,8 +9,9 @@ from repro.core.source import CutoffFluidSource
 from repro.core.truncated_pareto import TruncatedPareto
 from repro.queueing.markov import (
     HyperexponentialFit,
+    _superpose_onoff_chains,
     fit_hyperexponential,
-    multiscale_onoff_model,
+    fit_multiscale_source,
 )
 from repro.traffic import MarkovModulatedSource
 
@@ -137,15 +138,11 @@ class TestRenewalMarkovSource:
 
 class TestFitMultiscaleSource:
     def test_mean_matched_exactly(self, small_source):
-        from repro.queueing.markov import fit_multiscale_source
-
-        model = fit_multiscale_source(small_source, scales=5)
+        model = fit_multiscale_source(small_source)
         assert model.mean_rate == pytest.approx(small_source.mean_rate, rel=1e-6)
 
     def test_covariance_matched(self, small_source):
-        from repro.queueing.markov import fit_multiscale_source
-
-        model = fit_multiscale_source(small_source, scales=6)
+        model = fit_multiscale_source(small_source)
         lags = np.array([0.05, 0.2, 1.0, 3.0])
         fitted = model.rate_autocovariance(lags)
         exact = np.asarray(small_source.autocovariance(lags))
@@ -153,44 +150,47 @@ class TestFitMultiscaleSource:
 
     def test_loss_close_to_reference(self, small_source):
         from repro.core.solver import FluidQueue, SolverConfig
-        from repro.queueing.markov import fit_multiscale_source
         from repro.queueing.mmfq import mmfq_loss_rate
 
-        model = fit_multiscale_source(small_source, scales=6)
+        model = fit_multiscale_source(small_source)
         reference = FluidQueue(
             source=small_source, service_rate=1.25, buffer_size=1.0
         ).loss_rate(SolverConfig(relative_gap=0.05)).estimate
         fitted = mmfq_loss_rate(model, 1.25, 1.0)
         assert fitted == pytest.approx(reference, rel=0.5)
 
-    def test_explicit_on_probability_respected_when_feasible(self, small_source):
-        from repro.queueing.markov import fit_multiscale_source
-
-        model = fit_multiscale_source(small_source, scales=4, on_probability=0.05)
-        assert model.mean_rate == pytest.approx(small_source.mean_rate, rel=1e-6)
-
     def test_rejects_wrong_type(self):
-        from repro.queueing.markov import fit_multiscale_source
-
         with pytest.raises(TypeError, match="CutoffFluidSource"):
             fit_multiscale_source("not a source")
 
+    def test_rare_peak_shrinks_into_the_mean(self):
+        # A coefficient of variation near 100 drives the ON probability to
+        # its 1e-4 floor; the peaks then shrink so the base rate is 0 and
+        # the mean still matches.
+        from repro.core.marginal import DiscreteMarginal
+
+        source = CutoffFluidSource(
+            marginal=DiscreteMarginal.two_state(low=0.0, high=1.0, prob_high=1e-4),
+            interarrival=TruncatedPareto(theta=0.1, alpha=1.4, cutoff=10.0),
+        )
+        model = fit_multiscale_source(source)
+        assert model.rates.min() == 0.0
+        assert model.mean_rate == pytest.approx(source.mean_rate, rel=1e-6)
+
 
 class TestMultiscaleOnOff:
+    """The Kronecker builder behind :func:`fit_multiscale_source`."""
+
     def test_state_count(self):
-        model = multiscale_onoff_model(scales=3, fastest_time=0.01)
+        model = _superpose_onoff_chains([0.1, 0.4, 1.6], [1.0] * 3, 0.5, 0.0)
         assert model.size == 8
 
     def test_mean_rate(self):
-        model = multiscale_onoff_model(
-            scales=4, fastest_time=0.01, peak_rate_per_scale=2.0, on_probability=0.25
-        )
-        assert model.mean_rate == pytest.approx(4 * 2.0 * 0.25, rel=1e-8)
+        model = _superpose_onoff_chains([0.1, 0.4, 1.6], [1.0] * 3, 0.5, 0.0)
+        assert model.mean_rate == pytest.approx(3 * 1.0 * 0.5, rel=1e-8)
 
     def test_covariance_is_sum_of_exponentials(self):
-        model = multiscale_onoff_model(
-            scales=3, fastest_time=0.1, scale_factor=4.0, on_probability=0.5
-        )
+        model = _superpose_onoff_chains([0.1, 0.4, 1.6], [1.0] * 3, 0.5, 0.0)
         lags = np.array([0.0, 0.1, 0.4, 1.6])
         cov = model.rate_autocovariance(lags)
         per_chain_var = 0.25  # p(1-p) * rate^2
@@ -200,14 +200,10 @@ class TestMultiscaleOnOff:
         np.testing.assert_allclose(cov, expected, rtol=1e-6, atol=1e-9)
 
     def test_pseudo_power_law_span(self):
-        # Covariance stays within a factor ~3 of a true power law across the
-        # covered scale range (the design goal of the construction).
-        model = multiscale_onoff_model(scales=6, fastest_time=0.01, scale_factor=4.0)
+        # Six geometrically spaced scales give a positive covariance that
+        # decays monotonically across the covered range.
+        model = _superpose_onoff_chains([0.01 * 4.0**j for j in range(6)], [1.0] * 6, 0.5, 0.0)
         lags = np.logspace(-2, 1, 20)
         cov = model.rate_autocovariance(lags)
         assert np.all(cov > 0.0)
         assert np.all(np.diff(cov) < 0.0)
-
-    def test_rejects_excessive_scales(self):
-        with pytest.raises(ValueError, match="refuse"):
-            multiscale_onoff_model(scales=13, fastest_time=0.01)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.queueing.fluid_sim import simulate_trace_queue
-from repro.queueing.mmfq import MarkovFluidModel, mmfq_loss_rate, mmfq_occupancy_cdf
+from repro.queueing.mmfq import MarkovFluidModel, mmfq_loss_rate
 
 
 @pytest.fixture
@@ -129,28 +129,3 @@ class TestInfiniteBufferOverflow:
         with pytest.raises(ValueError, match="utilization"):
             mmfq_overflow_probability(onoff_model, 0.9, np.array([1.0]))
 
-
-class TestOccupancyCdf:
-    def test_monotone_and_bounded(self, onoff_model):
-        points = np.linspace(0.0, 2.0, 21)
-        cdf = mmfq_occupancy_cdf(onoff_model, 1.5, 2.0, points)
-        assert np.all(np.diff(cdf) >= -1e-9)
-        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
-
-    def test_atom_at_buffer(self, onoff_model, rng):
-        # The spectral cdf evaluated at B is F(B^-): the gap to 1 is the
-        # probability mass pinned at the full buffer, which a simulation of
-        # the same queue must reproduce.
-        c, b = 1.5, 1.0
-        cdf_at_b = mmfq_occupancy_cdf(onoff_model, c, b, np.array([b]))[0]
-        atom = 1.0 - cdf_at_b
-        assert atom > 0.0
-        trace = onoff_model.simulate_rates(duration=40_000.0, bin_width=0.02, rng=rng)
-        from repro.queueing.fluid_sim import simulate_trace_queue
-
-        sim = simulate_trace_queue(trace, 0.02, c, b)
-        assert atom == pytest.approx(sim.full_fraction, abs=0.05)
-
-    def test_rejects_points_outside_buffer(self, onoff_model):
-        with pytest.raises(ValueError, match="points"):
-            mmfq_occupancy_cdf(onoff_model, 1.5, 1.0, np.array([2.0]))

@@ -43,7 +43,6 @@ MODULES = [
     "repro.queueing.markov",
     "repro.queueing.cts",
     "repro.queueing.dimensioning",
-    "repro.queueing.fbm",
     "repro.apps",
     "repro.apps.error_control",
     "repro.experiments",

@@ -138,6 +138,11 @@ class TestCommands:
             ["serve", "--port", "0", "--timeout", "0"],
             ["serve", "--port", "0", "--lru-entries", "0"],
             ["serve", "--port", "0", "--lru-bytes", "0"],
+            ["trace", "mtv", "--bins", "0"],
+            ["trace", "mtv", "--bins", "1"],
+            ["trace", "mtv", "--bins", "-5"],
+            ["trace", "bellcore", "--bins", "0"],
+            ["trace", "bellcore", "--bins", "1"],
         ],
     )
     def test_out_of_range_model_flag_is_a_usage_error(self, argv, capsys):

@@ -12,7 +12,7 @@ from repro.traffic.farima import generate_farima
 from repro.traffic.fgn import generate_fgn
 from repro.traffic.mginf import mginf_rates
 from repro.traffic.onoff import aggregate_onoff_rates
-from repro.traffic.shuffle import external_shuffle, internal_shuffle
+from repro.traffic.shuffle import external_shuffle
 from repro.traffic.spurious import (
     ar1_process,
     dirac_pulse_process,
@@ -45,7 +45,6 @@ GENERATORS = {
         rng=rng,
     ),
     "external_shuffle": lambda rng: external_shuffle(np.arange(100.0), 7, rng),
-    "internal_shuffle": lambda rng: internal_shuffle(np.arange(100.0), 7, rng),
 }
 
 

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.acf import autocovariance
-from repro.traffic.farima import (
-    d_from_hurst,
-    farima_autocovariance,
-    generate_farima,
-    hurst_from_d,
-)
+from repro.traffic.farima import d_from_hurst, farima_autocovariance, generate_farima
 
 
 class TestAutocovariance:
@@ -75,13 +70,10 @@ class TestGenerator:
 
 
 class TestHurstMapping:
-    def test_round_trip(self):
-        assert hurst_from_d(0.3) == pytest.approx(0.8)
+    def test_d_is_hurst_minus_half(self):
         assert d_from_hurst(0.8) == pytest.approx(0.3)
-        assert hurst_from_d(d_from_hurst(0.67)) == pytest.approx(0.67)
+        assert d_from_hurst(0.67) == pytest.approx(0.17)
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            hurst_from_d(0.5)
         with pytest.raises(ValueError):
             d_from_hurst(1.0)

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.acf import autocovariance
 from repro.traffic.fgn import (
     fgn_autocovariance,
-    generate_fbm,
     generate_fgn,
     sample_stationary_gaussian,
 )
@@ -78,11 +77,6 @@ class TestSampler:
     def test_rejects_bad_std(self, rng):
         with pytest.raises(ValueError, match="std"):
             generate_fgn(64, 0.7, rng, std=0.0)
-
-    def test_fbm_is_cumulative(self, rng):
-        fbm = generate_fbm(128, 0.7, np.random.default_rng(9))
-        fgn = generate_fgn(128, 0.7, np.random.default_rng(9))
-        np.testing.assert_allclose(fbm, np.cumsum(fgn))
 
     def test_generic_sampler_rejects_indefinite(self, rng):
         # A covariance that is not non-negative definite must raise.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.truncated_pareto import TruncatedPareto
-from repro.traffic.mginf import mginf_mean_rate, mginf_rates
+from repro.traffic.mginf import mginf_rates
 
 
 @pytest.fixture
@@ -14,15 +14,6 @@ def duration_law() -> TruncatedPareto:
     # A finite cutoff keeps the residual life manageable so the warm-up
     # stationarization is accurate in tests.
     return TruncatedPareto.from_mean_interval(0.5, alpha=1.5, cutoff=20.0)
-
-
-class TestMeanRate:
-    def test_little_law(self, duration_law):
-        assert mginf_mean_rate(4.0, duration_law) == pytest.approx(4.0 * duration_law.mean)
-
-    def test_rejects_bad_rate(self, duration_law):
-        with pytest.raises(ValueError, match="arrival_rate"):
-            mginf_mean_rate(0.0, duration_law)
 
 
 class TestRates:
@@ -42,7 +33,8 @@ class TestRates:
             rng=rng,
             warmup_factor=100.0,
         )
-        assert rates.mean() == pytest.approx(mginf_mean_rate(10.0, duration_law), rel=0.1)
+        # Little's law: the mean number of active sessions is lambda E[D].
+        assert rates.mean() == pytest.approx(10.0 * duration_law.mean, rel=0.1)
 
     def test_counts_are_integer_valued_for_aligned_sessions(self, rng):
         # With deterministic-ish very long sessions, per-bin counts stay near
@@ -57,4 +49,10 @@ class TestRates:
         with pytest.raises(ValueError, match="one bin"):
             mginf_rates(
                 arrival_rate=1.0, duration_law=duration_law, duration=0.1, bin_width=0.5, rng=rng
+            )
+
+    def test_rejects_bad_rate(self, duration_law, rng):
+        with pytest.raises(ValueError, match="arrival_rate"):
+            mginf_rates(
+                arrival_rate=0.0, duration_law=duration_law, duration=10.0, bin_width=0.5, rng=rng
             )

@@ -1,4 +1,4 @@
-"""Tests for external/internal block shuffling."""
+"""Tests for external block shuffling."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.acf import autocorrelation
-from repro.traffic.shuffle import external_shuffle, internal_shuffle, shuffle_trace
+from repro.traffic.shuffle import external_shuffle, shuffle_trace
 from repro.traffic.trace import Trace
 
 
@@ -45,18 +45,6 @@ class TestExternalShuffle:
         shuffled = external_shuffle(values, block, np.random.default_rng(seed))
         np.testing.assert_allclose(np.sort(shuffled), np.sort(values))
 
-
-class TestInternalShuffle:
-    def test_preserves_block_membership(self, rng):
-        values = np.arange(100.0)
-        shuffled = internal_shuffle(values, 10, rng)
-        for b in range(10):
-            block = shuffled[10 * b : 10 * (b + 1)]
-            np.testing.assert_allclose(np.sort(block), values[10 * b : 10 * (b + 1)])
-
-    def test_block_one_is_identity(self, rng):
-        values = np.arange(10.0)
-        np.testing.assert_allclose(internal_shuffle(values, 1, rng), values)
 
 
 class TestShuffleTrace:

@@ -103,6 +103,16 @@ class TestCalibration:
         trace = Trace(rates=np.full(10, 2.0), bin_width=0.1)
         assert trace.mean_epoch_duration() == pytest.approx(1.0)
 
+    def test_peak_rate_falls_in_the_last_bin(self):
+        # 0.9 and the peak 1.0 share the top bin: one change in three samples.
+        trace = Trace(rates=np.array([0.0, 0.9, 1.0]), bin_width=0.1)
+        assert trace.mean_epoch_duration(bins=2) == pytest.approx(0.15)
+
+    def test_mean_epoch_duration_rejects_bad_bins(self):
+        trace = Trace(rates=np.array([0.0, 1.0]), bin_width=0.1)
+        with pytest.raises(ValueError, match="bins"):
+            trace.mean_epoch_duration(bins=0)
+
     def test_to_source_calibration(self, mtv_trace_small):
         source = mtv_trace_small.to_source(hurst=0.83)
         assert source.hurst == pytest.approx(0.83)
